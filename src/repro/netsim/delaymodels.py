@@ -12,9 +12,17 @@ Design requirements, and how they are met:
 * **Determinism at arbitrary times.**  Measurement campaigns sample the
   process at millions of points, and benchmarks must be reproducible.  We
   derive per-sample noise from a counter-based generator (SplitMix64 over
-  ``(seed, quantized time)``), so ``delay_at(t)`` is a pure function —
-  no RNG state, no order dependence, and vectorized evaluation over numpy
-  arrays is exact, not approximate.
+  ``(seed, quantized time)``), so a delay is a pure function of time —
+  no RNG state, no order dependence.
+* **Two evaluations, identical bits.**  Every model and event has a
+  per-array form (:meth:`DelayModel.delays`, :meth:`DelayEvent.extra_delays`)
+  for campaigns and baselines that evaluate whole time grids at once, and a
+  per-event scalar form (:meth:`DelayModel.delay_at`,
+  :meth:`DelayEvent.extra_at`) for the packet path, which draws one delay
+  per transmitted packet.  The scalar form runs SplitMix64 on Python ints
+  (:func:`uniform_at`, :func:`normal_at`) and performs the same float
+  operations in the same order, so both return bit-identical values at
+  every time; the call shape picks the path.
 * **Composability.**  A path's process is a :class:`CompositeDelay` of a
   base model plus any number of :class:`DelayEvent` overlays, mirroring how
   the paper narrates its traces (steady path + route change + instability).
@@ -44,12 +52,19 @@ __all__ = [
     "overlay",
     "deterministic_uniform",
     "deterministic_normal",
+    "uniform_at",
+    "normal_at",
 ]
 
 #: Grid onto which sample times are quantized before hashing.  Finer than
 #: the paper's 10 ms probe interval so consecutive probes always draw fresh
 #: noise.
 _NOISE_QUANTUM = 1e-4
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_INV_2_53 = 1.0 / 9007199254740992.0
+_U_MIN = 1e-12
+_U_MAX = 1.0 - 1e-12
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -90,13 +105,42 @@ def deterministic_uniform(seed: int, times: np.ndarray) -> np.ndarray:
     idx = _time_indices(times).astype(np.uint64)
     mixed = _splitmix64(idx ^ _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
     # 53-bit mantissa precision, shifted into (0, 1).
-    u = (mixed >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return np.clip(u, 1e-12, 1.0 - 1e-12)
+    u = (mixed >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return np.clip(u, _U_MIN, _U_MAX)
 
 
 def deterministic_normal(seed: int, times: np.ndarray) -> np.ndarray:
     """Standard-normal noise that is a pure function of (seed, time)."""
     return ndtri(deterministic_uniform(seed, times))
+
+
+def _splitmix64_int(x: int) -> int:
+    """SplitMix64 finalizer on a Python int already masked to 64 bits."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def uniform_at(seed: int, t: float) -> float:
+    """One draw of :func:`deterministic_uniform`, bit-identical, at time ``t``.
+
+    Masking to 64 bits reproduces numpy's uint64 wraparound, including the
+    two's-complement view of negative seeds and time indices.
+    """
+    idx = math.floor(t / _NOISE_QUANTUM) & _MASK64
+    mixed = _splitmix64_int(idx ^ _splitmix64_int(seed & _MASK64))
+    u = (mixed >> 11) * _INV_2_53
+    return min(max(u, _U_MIN), _U_MAX)
+
+
+def normal_at(seed: int, t: float) -> float:
+    """One draw of :func:`deterministic_normal`, bit-identical, at time ``t``.
+
+    The inverse CDF stays Cephes ``ndtri``: any other algorithm (e.g.
+    ``statistics.NormalDist.inv_cdf``) differs in the last bits.
+    """
+    return float(ndtri(uniform_at(seed, t)))
 
 
 class DelayModel(ABC):
@@ -106,9 +150,12 @@ class DelayModel(ABC):
     def delays(self, times: np.ndarray) -> np.ndarray:
         """Vectorized evaluation: delay for each sample time."""
 
+    @abstractmethod
     def delay_at(self, t: float) -> float:
-        """Scalar evaluation, used on the packet-level forwarding path."""
-        return float(self.delays(np.asarray([t], dtype=np.float64))[0])
+        """Scalar evaluation at one time, bit-identical to :meth:`delays`.
+
+        Used on the packet-level forwarding path, once per packet.
+        """
 
     @property
     @abstractmethod
@@ -128,6 +175,9 @@ class ConstantDelay(DelayModel):
 
     def delays(self, times: np.ndarray) -> np.ndarray:
         return np.full(np.shape(times), self.base, dtype=np.float64)
+
+    def delay_at(self, t: float) -> float:
+        return float(self.base)
 
     @property
     def floor(self) -> float:
@@ -162,6 +212,9 @@ class GaussianJitterDelay(DelayModel):
         noise = deterministic_normal(self.seed, times) * self.sigma
         return np.maximum(self.base + noise, self.floor)
 
+    def delay_at(self, t: float) -> float:
+        return max(self.base + normal_at(self.seed, t) * self.sigma, self.floor)
+
     @property
     def floor(self) -> float:
         # Allow a little downside so the distribution isn't one-sided, but
@@ -190,6 +243,11 @@ class DiurnalVariation(DelayModel):
     def delays(self, times: np.ndarray) -> np.ndarray:
         times = np.asarray(times, dtype=np.float64)
         swing = np.sin(2.0 * math.pi * (times / self.period) + self.phase)
+        return (swing + 1.0) * (self.amplitude / 2.0)
+
+    def delay_at(self, t: float) -> float:
+        # numpy's sin, not math.sin: the two libraries may round differently.
+        swing = float(np.sin(2.0 * math.pi * (t / self.period) + self.phase))
         return (swing + 1.0) * (self.amplitude / 2.0)
 
     @property
@@ -230,6 +288,15 @@ class SpikeProcess(DelayModel):
         )
         return np.where(gate, spikes, 0.0)
 
+    def delay_at(self, t: float) -> float:
+        probability = min(self.rate_per_second * _NOISE_QUANTUM, 1.0)
+        if not uniform_at(self.seed, t) < probability:
+            return 0.0
+        magnitude = uniform_at(self.seed + 1, t)
+        return self.min_magnitude + magnitude * (
+            self.max_magnitude - self.min_magnitude
+        )
+
     @property
     def floor(self) -> float:
         return 0.0
@@ -252,6 +319,10 @@ class DelayEvent(ABC):
     @abstractmethod
     def extra_delays(self, times: np.ndarray) -> np.ndarray:
         """Additional delay contributed at each sample time."""
+
+    @abstractmethod
+    def extra_at(self, t: float) -> float:
+        """Scalar evaluation at one time, bit-identical to :meth:`extra_delays`."""
 
 
 @dataclass(frozen=True)
@@ -291,6 +362,14 @@ class RouteChangeEvent(DelayEvent):
             extra[in_transition] = churn * self.churn_max
         extra[in_plateau] = self.shift
         return extra
+
+    def extra_at(self, t: float) -> float:
+        rel = t - self.start
+        if 0 <= rel < self.transition:
+            return uniform_at(self.seed, t) * self.churn_max
+        if self.transition <= rel < self.duration:
+            return float(self.shift)
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -333,6 +412,15 @@ class InstabilityEvent(DelayEvent):
         extra[inside] = np.where(is_spike, spikes, minor)
         return extra
 
+    def extra_at(self, t: float) -> float:
+        rel = t - self.start
+        if not 0 <= rel < self.duration:
+            return 0.0
+        if uniform_at(self.seed, t) < self.spike_probability:
+            magnitude = uniform_at(self.seed + 1, t)
+            return self.spike_min + magnitude * (self.spike_max - self.spike_min)
+        return uniform_at(self.seed + 2, t) * self.minor_max
+
 
 @dataclass(frozen=True)
 class AsymmetryEvent(DelayEvent):
@@ -353,6 +441,10 @@ class AsymmetryEvent(DelayEvent):
         rel = times - self.start
         inside = (rel >= 0) & (rel < self.duration)
         return np.where(inside, self.shift, 0.0)
+
+    def extra_at(self, t: float) -> float:
+        rel = t - self.start
+        return float(self.shift) if 0 <= rel < self.duration else 0.0
 
 
 @dataclass
@@ -375,6 +467,15 @@ class CompositeDelay(DelayModel):
             total = total + component.delays(times)
         for event in self.events:
             total = total + event.extra_delays(times)
+        return total
+
+    def delay_at(self, t: float) -> float:
+        # Same addition order as delays(): float addition is not associative.
+        total = self.base.delay_at(t)
+        for component in self.components:
+            total = total + component.delay_at(t)
+        for event in self.events:
+            total = total + event.extra_at(t)
         return total
 
     @property

@@ -1,9 +1,10 @@
 """Discrete-event simulation core.
 
-A small, deterministic event loop: events are ``(time, sequence, callback)``
-triples kept in a binary heap.  The sequence number makes ordering of
-same-time events deterministic (FIFO), which keeps every experiment in the
-repository reproducible bit-for-bit for a given seed.
+A small, deterministic event loop: the heap holds ``(time, seq, event)``
+tuples.  The sequence number is unique, so it settles every same-time tie
+(FIFO) inside the tuple comparison and the event itself is never compared.
+That keeps every experiment in the repository reproducible bit-for-bit for
+a given seed.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Event:
         if self._sim is not None:
             self._sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.9f}, seq={self.seq}, {state})"
@@ -77,7 +75,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self.clock = SimClock(start)
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled_pending = 0
@@ -127,7 +125,7 @@ class Simulator:
         internal array layout."""
         self.tombstones_reaped += self._cancelled_pending
         self.compactions += 1
-        self._queue = [e for e in self._queue if not e.cancelled]
+        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._cancelled_pending = 0
 
@@ -141,8 +139,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past: {time} < {self.clock.now}"
             )
-        event = Event(time, next(self._seq), callback, sim=self)
-        heapq.heappush(self._queue, event)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, sim=self)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> Event:
@@ -170,18 +169,18 @@ class Simulator:
         while self._queue:
             if max_events is not None and executed >= max_events:
                 break
-            event = self._queue[0]
+            time, _, event = self._queue[0]
             if event.cancelled:
                 heapq.heappop(self._queue)
                 self._cancelled_pending -= 1
                 continue
-            if until is not None and event.time > until:
+            if until is not None and time > until:
                 break
             heapq.heappop(self._queue)
             # Detach so a cancel() from inside the callback (a task
             # pausing itself) is not counted as a queued tombstone.
             event._sim = None
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(time)
             event.callback()
             self._events_processed += 1
             executed += 1
@@ -195,7 +194,7 @@ class Simulator:
             True if an event ran, False if the queue is empty.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            _, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 self._cancelled_pending -= 1
                 continue

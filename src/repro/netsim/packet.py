@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ipaddress
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 __all__ = [
@@ -276,15 +276,18 @@ class Packet:
             ValueError: when the TTL would drop to zero (packet must be
                 discarded by the caller; loops surface loudly, not silently).
         """
-        ip = self.outer_ip
-        index = self.headers.index(ip)
-        if isinstance(ip, Ipv4Header):
-            if ip.ttl <= 1:
-                raise ValueError(f"TTL expired for packet {self.packet_id}")
-            new_ip: Header = replace(ip, ttl=ip.ttl - 1)
-        else:
-            if ip.hop_limit <= 1:
-                raise ValueError(f"hop limit expired for packet {self.packet_id}")
-            new_ip = replace(ip, hop_limit=ip.hop_limit - 1)
-        self.headers[index] = new_ip
-        return self
+        headers = self.headers
+        for index, ip in enumerate(headers):
+            if isinstance(ip, Ipv6Header):
+                if ip.hop_limit <= 1:
+                    raise ValueError(f"hop limit expired for packet {self.packet_id}")
+                headers[index] = Ipv6Header(
+                    ip.src, ip.dst, ip.hop_limit - 1, ip.next_header
+                )
+                return self
+            if isinstance(ip, Ipv4Header):
+                if ip.ttl <= 1:
+                    raise ValueError(f"TTL expired for packet {self.packet_id}")
+                headers[index] = Ipv4Header(ip.src, ip.dst, ip.ttl - 1, ip.protocol)
+                return self
+        raise ValueError("packet has no IP header")

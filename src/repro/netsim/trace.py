@@ -9,6 +9,7 @@ deterministic under a seed.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,6 +27,16 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=4096)
+def _ipv6(text: str) -> ipaddress.IPv6Address:
+    """Parse an address text once; addresses are immutable, so shared.
+
+    Keyed by the text, not held on the factory: a factory's ``src`` and
+    ``dst`` may be reassigned between builds.
+    """
+    return ipaddress.IPv6Address(text)
+
+
 @dataclass
 class PacketFactory:
     """Builds plain (pre-encapsulation) data packets for a host pair."""
@@ -41,10 +52,7 @@ class PacketFactory:
         """A fresh packet with an IPv6+UDP header stack."""
         return Packet(
             headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address(self.src),
-                    dst=ipaddress.IPv6Address(self.dst),
-                ),
+                Ipv6Header(src=_ipv6(self.src), dst=_ipv6(self.dst)),
                 UdpHeader(sport=self.sport, dport=self.dport),
             ],
             payload_bytes=self.payload_bytes,

@@ -273,7 +273,7 @@ class _BenchTunnel:
 
 
 class _BenchLink:
-    """Link stand-in: constant delay/loss models (the cacheable case)."""
+    """Link stand-in: constant delay/loss models."""
 
     __slots__ = ("delay", "loss")
 

@@ -31,12 +31,6 @@ Telemetry leaves the engine through the batched store paths
 so a step costs O(array ops) plus one store call per direction instead
 of O(tunnels) attribute-resolved scalar calls.
 
-Base link models are identity-cached: a :class:`ConstantDelay` /
-:class:`ConstantLoss` model is evaluated once and the cached value
-reused until the fault injector swaps the link's model object (swaps
-are detected by an ``is`` check every step, so ``OverrideLoss``
-blackholes and delay overlays behave exactly as in the scalar engine).
-
 Engine selection mirrors the PR-4 ``use_engine("rounds")`` pattern:
 :func:`create_fluid_engine` keys the :data:`ENGINES` registry with an
 ``engine=`` knob (``"scalar"`` | ``"vector"``).
@@ -47,9 +41,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-from repro.netsim.delaymodels import ConstantDelay
-from repro.netsim.links import ConstantLoss
 
 from .demand import DemandModel
 from .fluid import BLACKHOLE_LOSS, RHO_WAIT_CAP, FluidEngine, TunnelLoad
@@ -89,13 +80,8 @@ class VectorFluidEngine(FluidEngine):
         self._lost_carry_vec = np.zeros(n, dtype=np.float64)
         self._delivered_carry_vec = np.zeros(n, dtype=np.float64)
 
-        # Identity-keyed base-model caches (see module docstring).
         self._link_list = [self._links[pid] for pid in self._pids]
-        self._delay_models: list[object] = [None] * n
-        self._delay_const: list[bool] = [False] * n
         self._delay_vals = np.zeros(n, dtype=np.float64)
-        self._loss_models: list[object] = [None] * n
-        self._loss_const: list[bool] = [False] * n
         self._loss_vals = np.zeros(n, dtype=np.float64)
 
         # Per-class fraction vectors, keyed by the resolver's cached
@@ -148,30 +134,12 @@ class VectorFluidEngine(FluidEngine):
     # ------------------------------------------------------------------
 
     def _base_models(self, now: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-tunnel base delay/loss with identity-cached constants."""
+        """Per-tunnel base delay/loss, read live from each link's models."""
         delay_vals = self._delay_vals
         loss_vals = self._loss_vals
-        delay_models = self._delay_models
-        delay_const = self._delay_const
-        loss_models = self._loss_models
-        loss_const = self._loss_const
         for i, link in enumerate(self._link_list):
-            dm = link.delay
-            if dm is not delay_models[i]:
-                delay_models[i] = dm
-                delay_const[i] = type(dm) is ConstantDelay
-                if delay_const[i]:
-                    delay_vals[i] = dm.delay_at(now)
-            if not delay_const[i]:
-                delay_vals[i] = dm.delay_at(now)
-            lm = link.loss
-            if lm is not loss_models[i]:
-                loss_models[i] = lm
-                loss_const[i] = type(lm) is ConstantLoss
-                if loss_const[i]:
-                    loss_vals[i] = lm.loss_probability(now)
-            if not loss_const[i]:
-                loss_vals[i] = lm.loss_probability(now)
+            delay_vals[i] = link.delay.delay_at(now)
+            loss_vals[i] = link.loss.loss_probability(now)
         return delay_vals, loss_vals
 
     def _step(self) -> None:

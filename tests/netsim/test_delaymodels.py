@@ -16,6 +16,9 @@ from repro.netsim.delaymodels import (
     SpikeProcess,
     deterministic_normal,
     deterministic_uniform,
+    normal_at,
+    overlay,
+    uniform_at,
 )
 
 
@@ -42,7 +45,7 @@ class TestDeterministicNoise:
         times = np.arange(0, 1, 0.01)
         vec = deterministic_uniform(5, times)
         scalars = [float(deterministic_uniform(5, np.asarray([t]))[0]) for t in times]
-        np.testing.assert_allclose(vec, scalars)
+        np.testing.assert_array_equal(vec, scalars)
 
     def test_uniform_distribution_roughly_flat(self):
         u = deterministic_uniform(9, np.arange(0, 100, 0.001))
@@ -247,3 +250,188 @@ class TestCompositeDelay:
         model = CompositeDelay(base=ConstantDelay(0.01), events=(event,))
         assert model.events_overlapping(120.0, 130.0) == [event]
         assert model.events_overlapping(200.0, 300.0) == []
+
+
+# ---------------------------------------------------------------------------
+# Scalar path: bit-identical to the vectorised one
+# ---------------------------------------------------------------------------
+
+
+def assert_same_bits(vector, scalars):
+    """Exact float64 bit patterns, so even -0.0 vs 0.0 would fail."""
+    vector = np.asarray(vector, dtype=np.float64)
+    scalars = np.asarray(scalars, dtype=np.float64)
+    np.testing.assert_array_equal(vector.view(np.uint64), scalars.view(np.uint64))
+
+
+def evaluate_both(model, times):
+    times = np.asarray(times, dtype=np.float64)
+    return model.delays(times), [model.delay_at(float(t)) for t in times]
+
+
+#: Seeds across the masking boundaries: negative, 64-bit, beyond 64 bits.
+seeds = st.one_of(
+    st.integers(min_value=-(2**70), max_value=-1),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=2**64, max_value=2**80),
+)
+#: Times at 0, on the noise grid, anywhere in a run, and far out.
+sample_times = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=10**9).map(lambda k: k * 1e-4),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    st.floats(min_value=1e6, max_value=1e9, allow_nan=False),
+)
+time_lists = st.lists(sample_times, min_size=1, max_size=40)
+delays_s = st.floats(min_value=0.0, max_value=0.2, allow_nan=False)
+small_seeds = st.integers(min_value=0, max_value=2**32)
+
+constants = st.builds(ConstantDelay, delays_s)
+jitters = st.builds(
+    GaussianJitterDelay,
+    delays_s,
+    st.floats(min_value=0.0, max_value=0.05, allow_nan=False),
+    seed=small_seeds,
+)
+diurnals = st.builds(
+    DiurnalVariation,
+    st.floats(min_value=0.0, max_value=0.01, allow_nan=False),
+    period=st.floats(min_value=1.0, max_value=86400.0, allow_nan=False),
+    phase=st.floats(min_value=-7.0, max_value=7.0, allow_nan=False),
+)
+spikes = st.builds(
+    lambda rate, lo, span, seed: SpikeProcess(rate, lo, lo + span, seed=seed),
+    st.floats(min_value=0.0, max_value=20000.0, allow_nan=False),
+    delays_s,
+    delays_s,
+    small_seeds,
+)
+starts = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+durations = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+route_changes = st.builds(
+    lambda start, duration, frac, shift, churn, seed: RouteChangeEvent(
+        start=start,
+        duration=duration,
+        shift=shift,
+        transition=duration * frac,
+        churn_max=churn,
+        seed=seed,
+    ),
+    starts,
+    durations,
+    st.floats(min_value=0.0, max_value=1.0),
+    delays_s,
+    delays_s,
+    small_seeds,
+)
+instabilities = st.builds(
+    lambda start, duration, p, lo, span, minor, seed: InstabilityEvent(
+        start=start,
+        duration=duration,
+        spike_probability=p,
+        spike_min=lo,
+        spike_max=lo + span,
+        minor_max=minor,
+        seed=seed,
+    ),
+    starts,
+    durations,
+    st.floats(min_value=0.0, max_value=1.0),
+    delays_s,
+    delays_s,
+    delays_s,
+    small_seeds,
+)
+asymmetries = st.builds(AsymmetryEvent, starts, durations, delays_s)
+events = st.one_of(route_changes, instabilities, asymmetries)
+plain_models = st.one_of(constants, jitters, diurnals, spikes)
+composites = st.builds(
+    CompositeDelay,
+    st.one_of(constants, jitters),
+    st.lists(st.one_of(diurnals, spikes), max_size=3).map(tuple),
+    st.lists(events, max_size=3).map(tuple),
+)
+
+
+def window_edges(event):
+    """Each window boundary plus its float neighbours on both sides."""
+    edges = [event.start, event.end]
+    if isinstance(event, RouteChangeEvent):
+        edges.append(event.start + event.transition)
+    out = []
+    for edge in edges:
+        out += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    return [t for t in out if t >= 0.0]
+
+
+class TestScalarDraws:
+    @given(seed=seeds, times=time_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_at_matches_vector(self, seed, times):
+        vector = deterministic_uniform(seed, np.asarray(times))
+        assert_same_bits(vector, [uniform_at(seed, t) for t in times])
+
+    @given(seed=seeds, times=time_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_normal_at_matches_vector(self, seed, times):
+        vector = deterministic_normal(seed, np.asarray(times))
+        assert_same_bits(vector, [normal_at(seed, t) for t in times])
+
+    def test_dense_grid_matches_vector(self):
+        # A whole run's worth of consecutive probes on one stream.
+        times = np.arange(0.0, 4.5, 1e-4)
+        assert_same_bits(
+            deterministic_normal(7, times), [normal_at(7, t) for t in times]
+        )
+
+    def test_scalar_draws_return_python_floats(self):
+        assert type(uniform_at(1, 0.5)) is float
+        assert type(normal_at(1, 0.5)) is float
+
+
+class TestScalarModels:
+    @given(model=st.one_of(plain_models, composites), times=time_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_delay_at_matches_delays(self, model, times):
+        assert_same_bits(*evaluate_both(model, times))
+
+    @given(event=events, times=time_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_extra_at_matches_extra_delays(self, event, times):
+        times = np.asarray(times + window_edges(event), dtype=np.float64)
+        assert_same_bits(
+            event.extra_delays(times), [event.extra_at(float(t)) for t in times]
+        )
+
+    @given(
+        base=st.one_of(constants, jitters, composites),
+        spikes=st.lists(asymmetries, min_size=1, max_size=4),
+        times=time_lists,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_overlay_stacks_match(self, base, spikes, times):
+        # The fault injector overlays one delay spike per fault event.
+        model = base
+        for spike in spikes:
+            model = overlay(model, spike)
+        edges = [t for spike in spikes for t in window_edges(spike)]
+        assert_same_bits(*evaluate_both(model, times + edges))
+
+    def test_calibrated_vultr_paths_match(self):
+        from repro.scenarios.vultr import (
+            INSTABILITY_HOUR,
+            LA_TO_NY_PATHS,
+            NY_TO_LA_PATHS,
+            ROUTE_CHANGE_HOUR,
+        )
+
+        # A minute of 10 ms probes, then a minute across each event edge.
+        grid = np.arange(0.0, 60.0, 0.01)
+        pieces = [grid]
+        for hour in (ROUTE_CHANGE_HOUR, INSTABILITY_HOUR):
+            for edge in (0.0, 30.0, 300.0, 600.0):
+                pieces.append(hour * 3600.0 + edge - 30.0 + grid)
+        times = np.concatenate(pieces)
+        for paths in (NY_TO_LA_PATHS, LA_TO_NY_PATHS):
+            for calibration in paths.values():
+                assert_same_bits(*evaluate_both(calibration.build(), times))

@@ -1,6 +1,8 @@
 """Tests for the discrete-event loop."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.events import Simulator
 
@@ -273,4 +275,72 @@ class TestHeapCompaction:
         assert sim.pending - sim.live_pending >= 0
         # Queue drains clean afterwards.
         sim.run()
+        assert sim.pending == 0
+
+
+#: One step of a random schedule: add an event a few ticks ahead (few
+#: distinct offsets, so same-time ties are common), cancel the k-th live
+#: event, fire the next event, or cancel enough events to compact the heap.
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("step"), st.just(0)),
+        st.tuples(st.just("purge"), st.integers(min_value=2, max_value=4)),
+    ),
+    max_size=120,
+)
+
+
+#: Ties at four instants, then a purge that compacts a non-trivial heap.
+INTERLEAVED_THEN_PURGED = [("schedule", t) for t in (2.0, 0.5, 1.0, 0.0) * 6]
+INTERLEAVED_THEN_PURGED.append(("purge", 3))
+
+
+class TestEventOrderProperty:
+    @given(ops=operations)
+    @example(ops=INTERLEAVED_THEN_PURGED)
+    @settings(max_examples=200, deadline=None)
+    def test_fires_in_time_seq_order_against_sorted_oracle(self, ops):
+        sim = Simulator()
+        fired: list[int] = []
+        handles = {}
+        live: list[tuple[float, int]] = []  # oracle: (time, schedule order)
+        expected: list[int] = []
+        order = 0
+
+        def fire_next_expected():
+            live.sort()
+            expected.append(live.pop(0)[1])
+
+        for op, arg in ops:
+            if op == "schedule":
+                at = sim.now + arg
+                handles[order] = sim.schedule_at(
+                    at, lambda n=order: fired.append(n)
+                )
+                live.append((at, order))
+                order += 1
+            elif op == "cancel" and live:
+                live.sort()
+                _, victim = live.pop(arg % len(live))
+                handles[victim].cancel()
+            elif op == "step" and live:
+                fire_next_expected()
+                assert sim.step()
+            elif op == "purge":
+                # Keep every ``arg``-th live event in firing order and
+                # cancel the rest: tombstones then dominate, the heap
+                # compacts, and the survivors stay interleaved.
+                live.sort()
+                for position, (_, victim) in enumerate(live):
+                    if position % arg:
+                        handles[victim].cancel()
+                live = live[::arg]
+            assert sim.live_pending == len(live)
+            assert fired == expected
+        while live:
+            fire_next_expected()
+        sim.run()
+        assert fired == expected
         assert sim.pending == 0

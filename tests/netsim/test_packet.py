@@ -176,6 +176,38 @@ class TestTtl:
         with pytest.raises(ValueError, match="TTL"):
             packet.decrement_ttl()
 
+    def test_only_outer_header_changes(self):
+        inner = Ipv6Header(
+            src=ipaddress.IPv6Address("2001:db8::1"),
+            dst=ipaddress.IPv6Address("2001:db8::2"),
+        )
+        outer = Ipv6Header(
+            src=ipaddress.IPv6Address("2001:db8:1::1"),
+            dst=ipaddress.IPv6Address("2001:db8:2::1"),
+            hop_limit=9,
+            next_header=41,
+        )
+        udp = UdpHeader(sport=1, dport=TANGO_UDP_PORT)
+        packet = Packet(headers=[udp, outer, inner])
+        packet.decrement_ttl()
+        assert packet.headers[0] is udp
+        assert packet.headers[1] == Ipv6Header(
+            src=outer.src, dst=outer.dst, hop_limit=8, next_header=41
+        )
+        assert packet.headers[2] is inner
+
+    def test_ipv4_keeps_protocol(self):
+        header = Ipv4Header(
+            src=ipaddress.IPv4Address("10.0.0.1"),
+            dst=ipaddress.IPv4Address("10.0.0.2"),
+            protocol=6,
+        )
+        packet = Packet(headers=[header])
+        packet.decrement_ttl()
+        assert packet.outer_ip == Ipv4Header(
+            src=header.src, dst=header.dst, ttl=63, protocol=6
+        )
+
 
 class TestCopy:
     def test_copy_has_new_identity(self):

@@ -24,6 +24,16 @@ class TestPacketFactory:
         a, b = FACTORY.build(), FACTORY.build()
         assert a.packet_id != b.packet_id
 
+    def test_reassigned_address_reaches_next_packet(self):
+        # Parsed addresses are cached by text; the factory itself is mutable.
+        factory = PacketFactory(src="2001:db8:10::2", dst="2001:db8:20::2")
+        first = factory.build()
+        factory.dst = "2001:db8:30::7"
+        second = factory.build()
+        assert str(first.dst) == "2001:db8:20::2"
+        assert str(second.dst) == "2001:db8:30::7"
+        assert second.src == first.src
+
 
 class TestProbeGenerator:
     def test_emits_at_interval(self):
