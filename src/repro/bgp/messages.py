@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .attributes import RouteAttributes
 
-__all__ = ["Prefix", "Announcement", "Withdrawal", "as_prefix"]
+__all__ = ["Prefix", "Announcement", "Withdrawal", "as_prefix", "prefix_text"]
 
 Prefix = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
@@ -18,6 +19,18 @@ def as_prefix(value: Union[str, Prefix]) -> Prefix:
     if isinstance(value, str):
         return ipaddress.ip_network(value)
     return value
+
+
+@lru_cache(maxsize=16384)
+def prefix_text(prefix: Prefix) -> str:
+    """Canonical text of ``prefix``, formatted once per distinct prefix.
+
+    The BGP engine orders prefixes by this text wherever order must not
+    depend on set iteration, and fingerprints hash it; ``str()`` on an
+    ``ipaddress`` network re-formats the address on every call.  The
+    bound only caps memory: a scenario's prefixes number in the hundreds.
+    """
+    return str(prefix)
 
 
 @dataclass(frozen=True)

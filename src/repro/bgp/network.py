@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .attributes import AsPath
-from .messages import Prefix, Withdrawal, as_prefix
+from .messages import Prefix, Withdrawal, as_prefix, prefix_text
 from .policy import Relationship
 from .router import BgpRouter
 
@@ -353,7 +353,7 @@ class BgpNetwork:
             receiver.receive_announcement(sender_name, announcement)
         # Sorted so withdrawal delivery order never depends on set
         # iteration order (TNG005; the replay-determinism invariant).
-        for prefix in sorted(previously_sent - set(exports), key=str):
+        for prefix in sorted(previously_sent - set(exports), key=prefix_text):
             sender.adj_rib_out.forget(receiver_name, prefix)
             self.withdrawals_delivered += 1
             receiver.receive_withdrawal(sender_name, Withdrawal(prefix))
@@ -397,7 +397,7 @@ class BgpNetwork:
                     changed = True
             # Sorted so withdrawal delivery order never depends on set
             # iteration order (TNG005; the replay-determinism invariant).
-            for prefix in sorted(previously_sent - set(exports), key=str):
+            for prefix in sorted(previously_sent - set(exports), key=prefix_text):
                 sender.adj_rib_out.forget(receiver_name, prefix)
                 self.withdrawals_delivered += 1
                 if receiver.receive_withdrawal(sender_name, Withdrawal(prefix)):

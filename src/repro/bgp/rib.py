@@ -27,51 +27,91 @@ class RibEntry:
 
 
 class AdjRibIn:
-    """Routes received from each neighbor, pre-decision."""
+    """Routes received from each neighbor, pre-decision.
+
+    Two views of one table:
+
+    * the flat ``(neighbor, prefix) -> RibEntry`` store is authoritative
+      and is also the snapshot form, so :meth:`snapshot` and
+      :meth:`restore` stay a single shallow dict copy;
+    * a live ``prefix -> (neighbor, ...)`` index of the neighbors each
+      prefix is heard from, sorted by name.  :meth:`upsert`,
+      :meth:`remove` and :meth:`remove_neighbor` keep it in step and
+      :meth:`restore` rebuilds it; it is never part of a snapshot.  It
+      holds names only (tuples of ``str``, which the cyclic garbage
+      collector stops tracking), so every entry lives in the flat store
+      alone.
+
+    :meth:`candidates` reads the index instead of scanning the table, and
+    returns a prefix's routes in neighbor-name order.
+    """
 
     def __init__(self) -> None:
         self._routes: dict[tuple[str, Prefix], RibEntry] = {}
+        self._neighbors_of: dict[Prefix, tuple[str, ...]] = {}
 
     def upsert(self, entry: RibEntry) -> bool:
         """Install/replace a route.  Returns True if anything changed."""
         key = (entry.neighbor, entry.prefix)
-        if self._routes.get(key) == entry:
+        current = self._routes.get(key)
+        if current == entry:
             return False
         self._routes[key] = entry
+        if current is None:
+            names = self._neighbors_of.get(entry.prefix, ()) + (entry.neighbor,)
+            self._neighbors_of[entry.prefix] = tuple(sorted(names))
         return True
 
     def remove(self, neighbor: str, prefix: Prefix) -> bool:
         """Drop the route for ``prefix`` from ``neighbor`` if present."""
-        return self._routes.pop((neighbor, prefix), None) is not None
+        if self._routes.pop((neighbor, prefix), None) is None:
+            return False
+        self._unindex(neighbor, prefix)
+        return True
 
     def remove_neighbor(self, neighbor: str) -> int:
         """Session teardown: drop every route from ``neighbor``."""
         keys = [k for k in self._routes if k[0] == neighbor]
         for key in keys:
             del self._routes[key]
+            self._unindex(*key)
         return len(keys)
+
+    def _unindex(self, neighbor: str, prefix: Prefix) -> None:
+        names = tuple(n for n in self._neighbors_of[prefix] if n != neighbor)
+        if names:
+            self._neighbors_of[prefix] = names
+        else:
+            del self._neighbors_of[prefix]
 
     def get(self, neighbor: str, prefix: Prefix) -> Optional[RibEntry]:
         return self._routes.get((neighbor, prefix))
 
     def candidates(self, prefix: Prefix) -> list[RibEntry]:
-        """All routes for ``prefix``, across neighbors (stable order)."""
-        return [e for (_, p), e in sorted(self._routes.items()) if p == prefix]
+        """All routes for ``prefix``, one per neighbor, in neighbor-name
+        order."""
+        routes = self._routes
+        return [routes[(n, prefix)] for n in self._neighbors_of.get(prefix, ())]
 
     def prefixes(self) -> set[Prefix]:
-        return {prefix for (_, prefix) in self._routes}
+        return set(self._neighbors_of)
 
     def prefixes_from(self, neighbor: str) -> set[Prefix]:
         return {p for (n, p) in self._routes if n == neighbor}
 
     def snapshot(self) -> dict[tuple[str, Prefix], RibEntry]:
-        """Copy of the table.  Entries are frozen, so a shallow dict copy
-        is a full copy-on-write fork of this RIB's state."""
+        """Copy of the flat table.  Entries are frozen, so a shallow dict
+        copy is a full copy-on-write fork of this RIB's state."""
         return dict(self._routes)
 
     def restore(self, state: dict[tuple[str, Prefix], RibEntry]) -> None:
-        """Replace the table with a previously captured snapshot."""
+        """Replace the table with a previously captured snapshot and
+        rebuild the index from it."""
         self._routes = dict(state)
+        grouped: dict[Prefix, list[str]] = {}
+        for neighbor, prefix in self._routes:
+            grouped.setdefault(prefix, []).append(neighbor)
+        self._neighbors_of = {p: tuple(sorted(ns)) for p, ns in grouped.items()}
 
     def __len__(self) -> int:
         return len(self._routes)

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .attributes import AsPath, RouteAttributes
 from .communities import TrafficControlInterpreter
-from .messages import Announcement, Prefix, Withdrawal, as_prefix
+from .messages import Announcement, Prefix, Withdrawal, as_prefix, prefix_text
 from .policy import (
     ExportPolicy,
     ImportPolicy,
@@ -206,7 +206,7 @@ class BgpRouter:
         prefixes = self.adj_rib_in.prefixes() | set(self.loc_rib.routes())
         # Sorted so decision order never depends on set iteration order
         # (TNG005; the replay-determinism invariant).
-        for prefix in sorted(prefixes, key=str):
+        for prefix in sorted(prefixes, key=prefix_text):
             if self._decided_epoch.get(prefix) == self._rib_epoch.get(prefix, 0):
                 self.decisions_memoized += 1
                 continue
@@ -267,7 +267,7 @@ class BgpRouter:
         neighbor = self._require_neighbor(neighbor_name)
         exports: dict[Prefix, Announcement] = {}
         for prefix, best in sorted(
-            self.loc_rib.routes().items(), key=lambda kv: str(kv[0])
+            self.loc_rib.routes().items(), key=lambda kv: prefix_text(kv[0])
         ):
             if prefix in self.originated:
                 continue  # our origination supersedes the learned route
@@ -283,7 +283,7 @@ class BgpRouter:
             if announcement is not None:
                 exports[prefix] = announcement
         for prefix, attrs in sorted(
-            self.originated.items(), key=lambda kv: str(kv[0])
+            self.originated.items(), key=lambda kv: prefix_text(kv[0])
         ):
             announcement = self._build_export(prefix, attrs, neighbor)
             if announcement is not None:
@@ -325,7 +325,7 @@ class BgpRouter:
         """
         if not self._pending_export:
             return ()
-        changed = tuple(sorted(self._pending_export, key=str))
+        changed = tuple(sorted(self._pending_export, key=prefix_text))
         self._pending_export.clear()
         return changed
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .attributes import RouteAttributes
-from .messages import Announcement, Prefix
+from .messages import Announcement, Prefix, prefix_text
 from .network import BgpNetwork
 from .rib import RibEntry
 
@@ -66,9 +66,13 @@ def network_fingerprint(network: BgpNetwork) -> Optional[str]:
             f"R|{name}|{router.asn}|{int(router.allowas_in)}"
             f"|{int(router.strip_private_on_export)}\n".encode()
         )
-        for prefix in sorted(router.originated, key=str):
-            token = _attr_token(router.originated[prefix])
-            digest.update(f"O|{name}|{prefix}|{token}\n".encode())
+        originated = sorted(
+            (prefix_text(prefix), attrs)
+            for prefix, attrs in router.originated.items()
+        )
+        # Texts are unique per router, so the attributes never compare.
+        for text, attrs in originated:
+            digest.update(f"O|{name}|{text}|{_attr_token(attrs)}\n".encode())
     for a, b in sorted(network._session_meta):
         rel, a_pref, b_pref = network._session_meta[(a, b)]
         digest.update(f"S|{a}|{b}|{rel.name}|{a_pref}|{b_pref}\n".encode())

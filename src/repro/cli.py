@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     federation_run.add_argument(
         "--edges", type=int, default=8,
-        help="federation size N (default: 8)",
+        help="federation size N, 3..10 (default: 8)",
     )
     federation_run.add_argument(
         "--seed", type=int, default=42,
@@ -836,6 +836,14 @@ def cmd_federation_run(args: argparse.Namespace) -> int:
         print(
             f"tango-repro: --edges must be >= 3 (a relay needs a third "
             f"member), got {args.edges}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.edges > 10:
+        print(
+            f"tango-repro: --edges must be <= 10 (path_delay_ms in "
+            f"scenarios/topologies.py orders member names as strings, so "
+            f"'edge10' sorts before 'edge2'), got {args.edges}",
             file=sys.stderr,
         )
         return 2

@@ -5,7 +5,7 @@ import ipaddress
 import pytest
 
 from repro.bgp.attributes import AsPath, RouteAttributes
-from repro.bgp.messages import Announcement, Withdrawal, as_prefix
+from repro.bgp.messages import Announcement, Withdrawal, as_prefix, prefix_text
 from repro.bgp.poisoning import poison_targets, poisoned_attributes
 
 
@@ -20,6 +20,19 @@ class TestAsPrefix:
     def test_invalid_string_raises(self):
         with pytest.raises(ValueError):
             as_prefix("not-a-prefix")
+
+
+class TestPrefixText:
+    def test_matches_str_for_both_families(self):
+        for text in ("2001:db8:0:1::/64", "2001:db8::/32", "10.0.0.0/8"):
+            network = ipaddress.ip_network(text)
+            assert prefix_text(network) == str(network) == text
+
+    def test_equal_prefixes_share_one_text(self):
+        a = ipaddress.ip_network("2001:db8:1::/48")
+        b = as_prefix("2001:db8:1::/48")
+        assert a is not b
+        assert prefix_text(a) is prefix_text(b)
 
 
 class TestMessages:

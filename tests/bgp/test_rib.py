@@ -35,6 +35,31 @@ class TestAdjRibIn:
         assert len(rib.candidates(P1)) == 2
         assert len(rib.candidates(P2)) == 1
 
+    def test_candidates_ordered_by_neighbor_name(self):
+        rib = AdjRibIn()
+        for name in ("n2", "n10", "B", "a"):
+            rib.upsert(entry(neighbor=name))
+        assert [e.neighbor for e in rib.candidates(P1)] == ["B", "a", "n10", "n2"]
+
+    def test_mixed_address_families_from_one_neighbor(self):
+        v4 = ipaddress.ip_network("192.0.2.0/24")
+        rib = AdjRibIn()
+        rib.upsert(entry(neighbor="a"))
+        rib.upsert(entry(prefix=v4, neighbor="a"))
+        assert [e.prefix for e in rib.candidates(v4)] == [v4]
+        assert rib.prefixes() == {P1, v4}
+
+    def test_restore_rebuilds_index(self):
+        rib = AdjRibIn()
+        rib.upsert(entry(neighbor="a"))
+        state = rib.snapshot()
+        rib.upsert(entry(neighbor="b"))
+        rib.remove("a", P1)
+        rib.restore(state)
+        assert [e.neighbor for e in rib.candidates(P1)] == ["a"]
+        rib.upsert(entry(prefix=P2, neighbor="a"))
+        assert P2 not in {p for (_, p) in state}  # the snapshot is not aliased
+
     def test_remove(self):
         rib = AdjRibIn()
         rib.upsert(entry())

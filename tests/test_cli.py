@@ -226,6 +226,14 @@ class TestFederation:
         err = capsys.readouterr().err
         assert "--edges must be >= 3" in err
 
+    def test_too_many_edges_is_usage_error(self, capsys):
+        assert main(["federation", "run", "--edges", "11", "--smoke"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--edges must be <= 10" in err
+        assert "scenarios/topologies.py" in err
+        assert "Traceback" not in err
+
     def test_smoke_run_passes_and_writes_report(self, tmp_path, capsys):
         import json
 
