@@ -2,36 +2,29 @@
 
 The engine deliberately ignores BGP timers (MRAI, convergence takes
 "several minutes" in the paper — one reason BGP cannot do fast reroute).
-Instead it computes the *converged* routing state by synchronous
-iteration: each round, every router's exports are diffed against what the
-neighbor last heard, deltas are delivered, decisions rerun — until a
-fixpoint.  Under Gao–Rexford policies with deterministic tie-breaks the
-fixpoint exists and is unique, and reaching it round-by-round mirrors the
-"wait for BGP to propagate" step of the paper's discovery procedure.
+Instead it computes the *converged* routing state: updates ripple from
+router to router until a fixpoint.  Under Gao–Rexford policies with
+deterministic tie-breaks the fixpoint exists and is unique, and reaching
+it mirrors the "wait for BGP to propagate" step of the paper's discovery
+procedure.
 
 Wall-clock convergence latency is modeled separately: callers that care
 (e.g. the route-change experiment) charge ``CONVERGENCE_DELAY_S`` per
 convergence when translating control-plane activity onto the data-plane
 timeline.
 
-Two interchangeable propagation engines compute the fixpoint:
-
-* ``"rounds"`` — the original full-scan engine: every round re-diffs
-  every directed session.  O(sessions × prefixes) per round regardless
-  of how small the change was.
-* ``"incremental"`` (default) — a dirty-set work queue: routers buffer
-  the prefixes whose exports may have changed; each wave drains only
-  those buffers and delivers per-prefix deltas, so a single flapped
-  session ripples outward instead of re-evaluating the whole topology.
-
-Both engines reach the same unique fixpoint (Gao–Rexford policies plus
-deterministic tie-breaks), verified bit-exactly by the engine-equivalence
-test suite; ``use_engine`` switches at any converged point.
+Propagation is a dirty-set work queue: routers buffer the prefixes whose
+exports may have changed; each wave drains only those buffers and
+delivers per-prefix deltas, so a single flapped session ripples outward
+instead of re-evaluating the whole topology.  The full-scan reference
+engine it is checked against (every round re-diffs every directed
+session) lives in ``tests/oracles/bgp.py``; the engine-equivalence suite
+holds the two to bit-exact identical routing state.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .attributes import AsPath
 from .messages import Prefix, Withdrawal, as_prefix, prefix_text
@@ -45,14 +38,7 @@ __all__ = [
     "ConvergenceError",
     "BgpNetwork",
     "CONVERGENCE_DELAY_S",
-    "ENGINE_INCREMENTAL",
-    "ENGINE_ROUNDS",
 ]
-
-#: Engine names accepted by :class:`BgpNetwork` and :meth:`use_engine`.
-ENGINE_INCREMENTAL = "incremental"
-ENGINE_ROUNDS = "rounds"
-_ENGINES = (ENGINE_INCREMENTAL, ENGINE_ROUNDS)
 
 #: Nominal wall-clock cost of one BGP convergence wave, for experiments
 #: that put control-plane reactions on the data-plane timeline.  The paper
@@ -67,18 +53,15 @@ class ConvergenceError(RuntimeError):
 class BgpNetwork:
     """A set of BGP routers plus their sessions, with a propagation engine."""
 
-    def __init__(self, engine: str = ENGINE_INCREMENTAL) -> None:
+    def __init__(self) -> None:
         self.routers: dict[str, BgpRouter] = {}
-        #: Directed session list (a, b): a may send updates to b.
-        self._sessions: list[tuple[str, str]] = []
         #: Session establishment parameters, keyed by the (a, b) order
         #: :meth:`connect` was called with — what a session reset replays.
         self._session_meta: dict[
             tuple[str, str], tuple[Relationship, Optional[int], Optional[int]]
         ] = {}
-        self._engine = self._validate_engine(engine)
-        #: Directed sessions created since the last convergence; the
-        #: incremental engine gives each a one-off full-table sync.
+        #: Directed sessions created since the last convergence; each gets
+        #: a one-off full-table sync.
         self._pending_full_sync: list[tuple[str, str]] = []
         self.total_rounds = 0
         self.convergence_count = 0
@@ -89,27 +72,6 @@ class BgpNetwork:
         self.snapshot_restores = 0
         #: Optional attached profiler; when set, convergences are timed.
         self.profiler: Optional["Profiler"] = None
-
-    @staticmethod
-    def _validate_engine(engine: str) -> str:
-        if engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
-            )
-        return engine
-
-    @property
-    def engine(self) -> str:
-        """The active propagation engine name."""
-        return self._engine
-
-    def use_engine(self, engine: str) -> None:
-        """Switch propagation engines.
-
-        Safe at any converged point: both engines leave no pending work
-        behind when :meth:`converge` returns.
-        """
-        self._engine = self._validate_engine(engine)
 
     # -- construction -----------------------------------------------------------
 
@@ -152,8 +114,6 @@ class BgpNetwork:
         router_b.add_neighbor(
             a, router_a.asn, relationship_of_b_to_a.inverse(), b_preference
         )
-        self._sessions.append((a, b))
-        self._sessions.append((b, a))
         self._session_meta[(a, b)] = (
             relationship_of_b_to_a,
             a_preference,
@@ -195,9 +155,6 @@ class BgpNetwork:
         router_b.remove_neighbor(a)
         router_a.adj_rib_out.clear_neighbor(b)
         router_b.adj_rib_out.clear_neighbor(a)
-        self._sessions = [
-            s for s in self._sessions if s not in ((a, b), (b, a))
-        ]
         self._session_meta.pop((a, b), None)
         self._session_meta.pop((b, a), None)
         self._pending_full_sync = [
@@ -230,11 +187,9 @@ class BgpNetwork:
         re-announced once it comes back.  Returns the convergence round
         counts of the (down, up) waves.
 
-        Under the incremental engine both waves run off the dirty set
-        seeded by the torn-down/re-established session, so the counts
-        reflect how far each ripple actually travelled rather than the
-        legacy full-scan round count; resulting routes are identical
-        either way (see tests/bgp/test_engine_equivalence.py).
+        Both waves run off the dirty set seeded by the torn-down /
+        re-established session, so the counts reflect how far each
+        ripple actually travelled.
         """
         config = self.session_config(a, b)
         self.disconnect(config[0], config[1])
@@ -251,7 +206,7 @@ class BgpNetwork:
         Returns:
             The number of rounds (waves) taken, counting the final wave
             that verifies the fixpoint — so an already-converged network
-            reports 1 under either engine.
+            reports 1.
 
         Raises:
             ConvergenceError: if ``max_rounds`` is exceeded, which under
@@ -260,29 +215,12 @@ class BgpNetwork:
         """
         self.convergence_count += 1
         if self.profiler is not None:
-            with self.profiler.time(f"bgp.converge.{self._engine}"):
-                waves = self._run_engine(max_rounds)
+            with self.profiler.time("bgp.converge"):
+                waves = self._converge_incremental(max_rounds)
         else:
-            waves = self._run_engine(max_rounds)
+            waves = self._converge_incremental(max_rounds)
         self.total_rounds += waves
         return waves
-
-    def _run_engine(self, max_rounds: int) -> int:
-        if self._engine == ENGINE_ROUNDS:
-            return self._converge_rounds(max_rounds)
-        return self._converge_incremental(max_rounds)
-
-    def _converge_rounds(self, max_rounds: int) -> int:
-        """The original full-scan engine: re-diff every session per round."""
-        for round_number in range(1, max_rounds + 1):
-            changed = self._propagate_round()
-            if not changed:
-                self._discard_pending_work()
-                return round_number
-        raise ConvergenceError(
-            f"no fixpoint after {max_rounds} rounds; "
-            "check relationships/policies for dispute wheels"
-        )
 
     def _converge_incremental(self, max_rounds: int) -> int:
         """Dirty-set work queue: waves ripple outward from changed state.
@@ -309,9 +247,8 @@ class BgpNetwork:
             self.routers_scanned += len(dirty) + len(full_sync)
             full_sync = []
             dirty = self._collect_dirty()
-        # +1 for the implicit final wave that verifies the fixpoint,
-        # keeping wave totals aligned with the rounds engine's convention
-        # (an already-converged network reports one round).
+        # +1 for the implicit final wave that verifies the fixpoint (an
+        # already-converged network reports one round).
         return waves + 1
 
     def _take_full_sync(self) -> list[tuple[str, str]]:
@@ -329,13 +266,6 @@ class BgpNetwork:
             if changed:
                 dirty[name] = changed
         return dirty
-
-    def _discard_pending_work(self) -> None:
-        """A full-scan fixpoint subsumes the incremental work queue:
-        nothing is left to ripple, so queued markers are stale."""
-        for router in self.routers.values():
-            router.clear_pending_exports()
-        self._pending_full_sync.clear()
 
     def _full_sync_session(self, sender_name: str, receiver_name: str) -> None:
         """Initial full-table exchange over one new directed session."""
@@ -379,31 +309,6 @@ class BgpNetwork:
                     self.withdrawals_delivered += 1
                     receiver.receive_withdrawal(sender_name, Withdrawal(prefix))
 
-    def _propagate_round(self) -> bool:
-        """One synchronous delivery wave.  Returns True if anything changed."""
-        changed = False
-        self.routers_scanned += len(self.routers)
-        for sender_name, receiver_name in self._sessions:
-            sender = self.routers[sender_name]
-            receiver = self.routers[receiver_name]
-            exports = sender.exports_for(receiver_name)
-            previously_sent = sender.adj_rib_out.prefixes_to(receiver_name)
-            for prefix, announcement in exports.items():
-                if sender.adj_rib_out.last_sent(receiver_name, prefix) == announcement:
-                    continue
-                sender.adj_rib_out.record(receiver_name, announcement)
-                self.updates_delivered += 1
-                if receiver.receive_announcement(sender_name, announcement):
-                    changed = True
-            # Sorted so withdrawal delivery order never depends on set
-            # iteration order (TNG005; the replay-determinism invariant).
-            for prefix in sorted(previously_sent - set(exports), key=prefix_text):
-                sender.adj_rib_out.forget(receiver_name, prefix)
-                self.withdrawals_delivered += 1
-                if receiver.receive_withdrawal(sender_name, Withdrawal(prefix)):
-                    changed = True
-        return changed
-
     # -- queries ------------------------------------------------------------------
 
     def best_path(
@@ -426,7 +331,3 @@ class BgpNetwork:
         return sorted(
             name for name, r in self.routers.items() if normalized in r.originated
         )
-
-    def session_pairs(self) -> Iterable[tuple[str, str]]:
-        """Directed sessions (sender, receiver)."""
-        return tuple(self._sessions)

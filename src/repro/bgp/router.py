@@ -330,8 +330,8 @@ class BgpRouter:
         return changed
 
     def clear_pending_exports(self) -> None:
-        """Discard queued export work (snapshot restore / full-scan
-        convergence both leave nothing to ripple)."""
+        """Discard queued export work (a snapshot restore, like the
+        full-scan test oracle's fixpoint, leaves nothing to ripple)."""
         self._pending_export.clear()
 
     def _build_export(

@@ -1,6 +1,7 @@
 """Command-line interface: ``tango-repro <command>``.
 
-Eight subcommands, each a self-contained run of one slice of the system:
+Subcommands, each a self-contained run of one slice of the system
+(``tango-repro --help`` lists them all):
 
 * ``discover`` — run Figure 3's iterative suppression discovery and print
   the path/community table per direction.
@@ -21,10 +22,6 @@ Eight subcommands, each a self-contained run of one slice of the system:
   of worker count); ``faults campaign --correlated`` runs the E18
   correlated-failure family (SRLG cuts, regional outages, maintenance
   drains) against the fate-aware fast-reroute stack instead.
-* ``profile`` — run the standard perf workloads (discovery, session
-  resets, fault replay) under the full-scan baseline and the incremental
-  engine + snapshot cache, print the speedup table, and write
-  ``BENCH_PERF.json``.
 * ``lint`` — static determinism & policy-safety analysis: AST rules
   (``TNG001``–``TNG006``) over source files, Gao–Rexford semantic checks
   over every shipped scenario, and fault-plan target validation.
@@ -172,40 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="BENCH_ROBUST.json",
         help="report path (default BENCH_ROBUST.json)",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="run the standard perf workloads and write BENCH_PERF.json",
-        description=(
-            "Measure the incremental propagation engine and convergence "
-            "snapshot cache against the full-scan baseline on the Vultr "
-            "scenario: path discovery, session resets, and a BGP-heavy "
-            "fault replay.  Prints a table and writes the full report as "
-            "JSON."
-        ),
-    )
-    profile.add_argument(
-        "--repeat", type=int, default=3,
-        help="best-of repetitions per measurement (default: 3)",
-    )
-    profile.add_argument(
-        "--out", default="BENCH_PERF.json",
-        help="report output path (default: BENCH_PERF.json); '-' to skip",
-    )
-    profile.add_argument(
-        "--smoke", action="store_true",
-        help="CI mode: fewest repetitions, same workloads",
-    )
-    profile.add_argument(
-        "--no-replay", action="store_true",
-        help="skip the (slow) fault-replay workload",
-    )
-    profile.add_argument(
-        "--traffic", action="store_true",
-        help="also run the E19 traffic workloads (vectorized fluid "
-        "engine vs scalar oracle, shared tick wheel vs per-controller "
-        "tasks)",
     )
 
     traffic = sub.add_parser(
@@ -690,62 +653,6 @@ def cmd_faults_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    from .profiling.bench import DISCOVERY_MIN_SPEEDUP, run_perf_suite
-    from .profiling.core import Profiler
-
-    profiler = Profiler()
-    report = run_perf_suite(
-        repeat=args.repeat,
-        smoke=args.smoke,
-        include_replay=not args.no_replay,
-        include_traffic=args.traffic,
-        profiler=profiler,
-    )
-    header = f"{'workload':<18} {'baseline':>10} {'incremental':>12} {'speedup':>9}"
-    print(header)
-    print("-" * len(header))
-    for name, wl in sorted(report.workloads.items()):
-        print(
-            f"{name:<18} {wl.baseline_s:>9.4f}s {wl.incremental_s:>11.4f}s "
-            f"{wl.speedup:>8.2f}x"
-        )
-    replay = report.workloads.get("fault_replay_mttr")
-    if replay is not None and "converge_speedup" in replay.detail:
-        print(
-            f"{'':<18} control-plane share of replay: "
-            f"{replay.detail['baseline_converge_s']:.4f}s -> "
-            f"{replay.detail['incremental_converge_s']:.4f}s "
-            f"({replay.detail['converge_speedup']:.1f}x)"
-        )
-    if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"wrote {args.out}")
-    discovery = report.workloads["discovery"]
-    if discovery.speedup < DISCOVERY_MIN_SPEEDUP:
-        print(
-            f"tango-repro: discovery speedup {discovery.speedup:.2f}x is "
-            f"below the {DISCOVERY_MIN_SPEEDUP:.1f}x gate",
-            file=sys.stderr,
-        )
-        return 1
-    failed_traffic = sorted(
-        name
-        for name in ("vector_fluid", "tick_scheduler")
-        if report.workloads.get(name) is not None
-        and not report.workloads[name].detail.get("passed", 1.0)
-    )
-    if failed_traffic:
-        print(
-            "tango-repro: traffic workload gate(s) failed: "
-            + ", ".join(failed_traffic),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_traffic_run(args: argparse.Namespace) -> int:
     from .traffic.bench import run_traffic_suite
 
@@ -944,8 +851,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_mesh(args)
     if args.command == "figures":
         return cmd_figures(args)
-    if args.command == "profile":
-        return cmd_profile(args)
     if args.command == "lint":
         return cmd_lint(args)
     if args.command == "traffic":

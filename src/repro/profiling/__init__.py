@@ -1,19 +1,14 @@
 """Performance measurement for the reproduction's hot paths.
 
-Two layers:
+:class:`Profiler` (``repro.profiling.core``) — named wall-clock timers
+plus counter capture from the always-on cheap integers maintained by
+:class:`~repro.bgp.network.BgpNetwork`, the netsim
+:class:`~repro.netsim.events.Simulator`, routers, and the controller.
 
-* :class:`Profiler` (``repro.profiling.core``) — named wall-clock timers
-  plus counter capture from the always-on cheap integers maintained by
-  :class:`~repro.bgp.network.BgpNetwork`, the netsim
-  :class:`~repro.netsim.events.Simulator`, routers, and the controller.
-* ``repro.profiling.bench`` — the standard workloads behind
-  ``tango-repro profile`` and the CI perf gate: full-path discovery,
-  session resets, and a BGP-heavy fault-replay MTTR run, each under both
-  propagation engines, emitted as ``BENCH_PERF.json``.
-
-Import note: ``bench`` pulls in scenarios and faults; import it directly
-(``from repro.profiling.bench import ...``) so that lightweight users of
-:class:`Profiler` do not pay for the whole stack.
+The end-to-end, per-layer measurements live in the ``perfbench/``
+ledger; the E15 before/after comparison of the BGP engine against its
+full-scan oracle (``tests/oracles/bgp.py``) is
+``benchmarks/test_bench_engine_perf.py``.
 """
 
 from .core import Profiler, TimerStat

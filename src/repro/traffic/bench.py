@@ -25,9 +25,8 @@ Gated workloads (EXPERIMENTS.md E16 and E19):
   drives a full round within :data:`TICK_BUDGET_S` wall seconds.
 
 Wall-clock is read through the profiler's injectable clock (TNG001).
-Used by ``tango-repro traffic run``, ``tango-repro profile --traffic``
-and the ``perf`` CI job (``benchmarks/test_bench_traffic.py``,
-``benchmarks/test_bench_vector.py``).
+Used by ``tango-repro traffic run`` and the ``perf`` CI job
+(``benchmarks/test_bench_traffic.py``, ``benchmarks/test_bench_vector.py``).
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ Telemetry leaves the engine through the batched store paths
 so a step costs O(array ops) plus one store call per direction instead
 of O(tunnels) attribute-resolved scalar calls.
 
-Engine selection mirrors the PR-4 ``use_engine("rounds")`` pattern:
 :func:`create_fluid_engine` keys the :data:`ENGINES` registry with an
 ``engine=`` knob (``"scalar"`` | ``"vector"``).
 """
@@ -262,7 +261,7 @@ class VectorFluidEngine(FluidEngine):
             profiler.count("fluid.bucket_updates", self._updates_per_step)
 
 
-#: Engine registry for the ``engine=`` knob (PR-4 ``use_engine`` pattern).
+#: Engine registry for the ``engine=`` knob.
 ENGINES: dict[str, type[FluidEngine]] = {
     "scalar": FluidEngine,
     "vector": VectorFluidEngine,

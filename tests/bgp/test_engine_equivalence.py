@@ -1,11 +1,13 @@
-"""Engine-equivalence suite: incremental vs round-based propagation.
+"""Engine-equivalence suite: production vs the full-scan oracle.
 
-The incremental work-queue engine is an optimization, not a semantics
-change: under Gao–Rexford policies with deterministic tie-breaks the
-network has a unique fixpoint, so both engines must land on bit-exact
-identical state for any sequence of operations.  This suite drives every
-shipped scenario (Vultr, enterprise, mesh) through representative
-workloads under each engine and compares:
+Production's incremental work-queue engine is an optimization, not a
+semantics change: under Gao–Rexford policies with deterministic
+tie-breaks the network has a unique fixpoint, so it must land on
+bit-exact the same state as the round-based oracle
+(``tests/oracles/bgp.py``) for any sequence of operations.  This suite
+drives every shipped scenario (Vultr, enterprise, mesh) and generated
+three-tier topologies through representative workloads under each
+engine and compares:
 
 * full RIB contents (adj-rib-in, loc-rib, adj-rib-out, originations),
 * discovery results (the ``paths`` tuples — wave counts legitimately
@@ -13,9 +15,13 @@ workloads under each engine and compares:
 * fault-replay recovery logs (byte-identical ``RecoveryLog.format()``).
 """
 
-import pytest
+import time
 
-from repro.bgp.network import ENGINE_INCREMENTAL, ENGINE_ROUNDS, BgpNetwork
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bgp.network import BgpNetwork
 from repro.core.discovery import PathDiscovery
 from repro.scenarios.enterprise import (
     BUSINESS_ISP_ASN,
@@ -23,8 +29,20 @@ from repro.scenarios.enterprise import (
 )
 from repro.scenarios.topologies import build_mesh_scenario
 from repro.scenarios.vultr import VULTR_ASN, build_bgp_network
-
-ENGINES = (ENGINE_ROUNDS, ENGINE_INCREMENTAL)
+from tests.bgp.engine_bench import run_bench_replay
+from tests.bgp.test_properties import (
+    PREFIXES,
+    build_network,
+    topology_spec,
+    topology_strategy,
+)
+from tests.oracles.bgp import (
+    ENGINE_INCREMENTAL,
+    ENGINE_ROUNDS,
+    ENGINES,
+    converge_rounds,
+    use_engine,
+)
 
 
 def rib_dump(net: BgpNetwork) -> dict:
@@ -44,7 +62,7 @@ def rib_dump(net: BgpNetwork) -> dict:
 def run_vultr_workload(engine: str) -> tuple[dict, list]:
     """Originations, discovery both ways, a session bounce, a withdrawal."""
     net = build_bgp_network()
-    net.use_engine(engine)
+    use_engine(net, engine)
     paths = []
     net.router("tango-la").originate("2001:db8:a0::/48")
     net.router("tango-ny").originate("2001:db8:b0::/48")
@@ -65,7 +83,7 @@ def run_vultr_workload(engine: str) -> tuple[dict, list]:
 
 def run_enterprise_workload(engine: str) -> tuple[dict, list]:
     net = build_enterprise_bgp()
-    net.use_engine(engine)
+    use_engine(net, engine)
     net.router("tango-factory").originate("2001:db8:e100::/48")
     net.router("tango-hq").originate("2001:db8:e200::/48")
     net.converge()
@@ -84,7 +102,7 @@ def run_mesh_workload(engine: str) -> tuple[dict, list]:
     extra pair per engine on top of the (deterministic) built state."""
     scenario = build_mesh_scenario(3, seed=7)
     net = scenario.bgp
-    net.use_engine(engine)
+    use_engine(net, engine)
     discovery = PathDiscovery(net, 64901)
     result = discovery.discover(
         announcer="edge1",
@@ -115,7 +133,7 @@ def test_engine_reaches_same_fixpoint_as_fresh_converge(engine):
     """Idempotence: converging a converged network changes nothing and
     reports exactly one (verification) wave under either engine."""
     net = build_bgp_network()
-    net.use_engine(engine)
+    use_engine(net, engine)
     net.router("tango-la").originate("2001:db8:a0::/48")
     net.converge()
     before = rib_dump(net)
@@ -127,18 +145,18 @@ def test_engines_agree_after_interleaved_switch():
     """Switching engines mid-stream must not corrupt state: pending work
     is either flushed or carried, never dropped."""
     reference = build_bgp_network()
-    reference.use_engine(ENGINE_ROUNDS)
+    use_engine(reference, ENGINE_ROUNDS)
     mixed = build_bgp_network()
-    mixed.use_engine(ENGINE_INCREMENTAL)
+    use_engine(mixed, ENGINE_INCREMENTAL)
     for net in (reference, mixed):
         net.router("tango-la").originate("2001:db8:a0::/48")
         net.converge()
-    mixed.use_engine(ENGINE_ROUNDS)
+    use_engine(mixed, ENGINE_ROUNDS)
     for net in (reference, mixed):
         net.router("tango-ny").originate("2001:db8:b0::/48")
         net.converge()
         net.reset_session("vultr-la", "telia")
-    mixed.use_engine(ENGINE_INCREMENTAL)
+    use_engine(mixed, ENGINE_INCREMENTAL)
     for net in (reference, mixed):
         net.router("tango-la").withdraw_origination("2001:db8:a0::/48")
         net.converge()
@@ -146,11 +164,81 @@ def test_engines_agree_after_interleaved_switch():
 
 
 def test_fault_replay_recovery_logs_identical():
-    """The bench replay cross-checks byte-identical recovery logs between
-    the full-scan baseline and the incremental+snapshot configuration
-    (run_fault_replay_workload raises otherwise)."""
-    from repro.profiling.bench import run_fault_replay_workload
+    """The bench replay yields byte-identical recovery logs on the
+    full-scan oracle without a cache and on production with one."""
+    oracle_s, _, oracle_log = run_bench_replay(ENGINE_ROUNDS, time.perf_counter)
+    production_s, _, production_log = run_bench_replay(
+        ENGINE_INCREMENTAL, time.perf_counter
+    )
+    assert oracle_s > 0.0
+    assert production_s > 0.0
+    assert oracle_log
+    assert oracle_log == production_log
 
-    result = run_fault_replay_workload(repeat=1)
-    assert result.baseline_s > 0.0
-    assert result.incremental_s > 0.0
+
+def draw_op(data, net, live, down):
+    """One random operation valid on ``net``, as ``(method, args)``.
+
+    ``live`` and ``down`` track the sessions that are up, and the
+    ``session_config`` of those torn down, across steps.
+    """
+    originated = [
+        (name, prefix)
+        for name, router in net.routers.items()
+        for prefix in PREFIXES
+        if prefix in router.originated
+    ]
+    ops = ["originate"]
+    ops += ["withdraw_origination"] if originated else []
+    ops += ["disconnect", "reset_session"] if live else []
+    ops += ["connect"] if down else []
+    op = data.draw(st.sampled_from(ops))
+    if op == "originate":
+        return op, (
+            data.draw(st.sampled_from(sorted(net.routers))),
+            data.draw(st.sampled_from(PREFIXES)),
+        )
+    if op == "withdraw_origination":
+        return op, data.draw(st.sampled_from(originated))
+    if op == "connect":
+        config = data.draw(st.sampled_from(down))
+        down.remove(config)
+        live.append(config[:2])
+        return op, config
+    session = data.draw(st.sampled_from(live))
+    if op == "disconnect":
+        live.remove(session)
+        down.append(net.session_config(*session))
+    return op, session
+
+
+def apply_op(net, op, args):
+    if op in ("originate", "withdraw_origination"):
+        name, prefix = args
+        getattr(net.router(name), op)(prefix)
+    else:
+        getattr(net, op)(*args)
+
+
+@given(topology_strategy, st.data())
+@settings(max_examples=40, deadline=None)
+def test_oracle_agrees_over_generated_topologies_and_op_sequences(topo, data):
+    """Random originations, withdrawals, disconnects, reconnects and
+    session resets: after every step production and a network that
+    switches between production and the oracle at random hold the same
+    RIBs, and a converged network reports one round under either."""
+    routers, sessions, _ = topology_spec(*topo)
+    production = build_network(routers, sessions)
+    mixed = build_network(routers, sessions)
+    live = [(a, b) for _, a, b in sessions]
+    down = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        use_engine(mixed, data.draw(st.sampled_from(ENGINES)))
+        op, args = draw_op(data, production, live, down)
+        for net in (production, mixed):
+            apply_op(net, op, args)
+            net.converge()
+        assert rib_dump(mixed) == rib_dump(production)
+        assert production.converge() == 1
+        assert converge_rounds(mixed) == 1
+        assert rib_dump(mixed) == rib_dump(production)

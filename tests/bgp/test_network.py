@@ -7,6 +7,7 @@ from repro.bgp.communities import no_export_to
 from repro.bgp.network import BgpNetwork
 from repro.bgp.poisoning import poisoned_attributes
 from repro.bgp.router import BgpRouter
+from tests.oracles.bgp import ENGINE_INCREMENTAL, ENGINE_ROUNDS, use_engine
 
 P = "2001:db8:1::/48"
 
@@ -235,23 +236,22 @@ class TestResetSession:
 
 
 class TestResetSessionEngines:
-    """reset_session rides whichever engine is active; the incremental
-    engine reports how far each ripple travelled, not full-scan rounds."""
+    """reset_session rides whichever engine is active (production, or the
+    full-scan oracle of tests/oracles/bgp.py); production reports how far
+    each ripple travelled, not full-scan rounds."""
 
     @staticmethod
     def _vultr_with_routes(engine):
         from repro.scenarios.vultr import build_bgp_network
 
         net = build_bgp_network()
-        net.use_engine(engine)
+        use_engine(net, engine)
         net.router("tango-la").originate("2001:db8:a0::/48")
         net.router("tango-ny").originate("2001:db8:b0::/48")
         net.converge()
         return net
 
     def test_incremental_counts_are_accurate_waves(self):
-        from repro.bgp.network import ENGINE_INCREMENTAL, ENGINE_ROUNDS
-
         legacy = self._vultr_with_routes(ENGINE_ROUNDS)
         incremental = self._vultr_with_routes(ENGINE_INCREMENTAL)
         legacy_down, legacy_up = legacy.reset_session("vultr-ny", "ntt")
@@ -271,8 +271,6 @@ class TestResetSessionEngines:
         assert (incr_down, incr_up) == (4, 5)  # pinned: hop-accurate depth
 
     def test_engines_agree_on_post_reset_routes(self):
-        from repro.bgp.network import ENGINE_INCREMENTAL, ENGINE_ROUNDS
-
         legacy = self._vultr_with_routes(ENGINE_ROUNDS)
         incremental = self._vultr_with_routes(ENGINE_INCREMENTAL)
         legacy.reset_session("vultr-ny", "ntt")
@@ -284,8 +282,6 @@ class TestResetSessionEngines:
             ), name
 
     def test_reset_on_incremental_engine_restores_reachability(self):
-        from repro.bgp.network import ENGINE_INCREMENTAL
-
         net = self._vultr_with_routes(ENGINE_INCREMENTAL)
         before = net.best_path("tango-ny", "2001:db8:a0::/48").asns
         down, up = net.reset_session("vultr-la", "ntt")

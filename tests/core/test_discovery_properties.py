@@ -11,32 +11,59 @@ PROBE = "2001:db8:aa::/48"
 TRANSITS = (2914, 1299, 3257, 174, 3356)
 
 
-def build(observer_links, announcer_links, peer_pairs):
+def topology_spec(observer_links, announcer_links, peer_pairs):
     """Two single-homed edges behind two provider ASes, each provider
     buying transit from a hypothesis-chosen subset of five transits,
-    with a hypothesis-chosen transit peering mesh."""
+    with a hypothesis-chosen transit peering mesh.
+
+    Returns ``(routers, sessions)``: ``(name, asn, allowas_in)`` triples
+    and ``(kind, a, b, customer_preference)`` sessions in creation order
+    (``"peer"`` for a–b peering, ``"provider"`` for b selling transit
+    to a).
+    """
+    routers = [(f"t{asn}", asn, False) for asn in TRANSITS] + [
+        ("prov-obs", 64700, True),
+        ("prov-ann", 64701, True),
+        ("edge-obs", 65100, False),
+        ("edge-ann", 65101, False),
+    ]
+    sessions = [
+        ("peer", f"t{a}", f"t{b}", None)
+        for i, a in enumerate(TRANSITS)
+        for j, b in enumerate(TRANSITS)
+        if i < j and ((i * 5 + j) % len(TRANSITS)) in peer_pairs
+    ]
+    sessions += [
+        ("provider", "edge-obs", "prov-obs", None),
+        ("provider", "edge-ann", "prov-ann", None),
+    ]
+    for provider, links in (
+        ("prov-obs", observer_links),
+        ("prov-ann", announcer_links),
+    ):
+        for rank, idx in enumerate(sorted({i % 5 for i in links}), 1):
+            sessions.append(("provider", provider, f"t{TRANSITS[idx]}", rank))
+    return routers, sessions
+
+
+def build_from(routers, sessions):
+    """Add ``routers`` then ``sessions`` to a fresh network, in the
+    order given."""
     net = BgpNetwork()
-    for asn in TRANSITS:
-        net.add_router(BgpRouter(f"t{asn}", asn))
-    for i, a in enumerate(TRANSITS):
-        for j, b in enumerate(TRANSITS):
-            if i < j and ((i * 5 + j) % len(TRANSITS)) in peer_pairs:
-                net.add_peering(f"t{a}", f"t{b}")
-    net.add_router(BgpRouter("prov-obs", 64700, allowas_in=True))
-    net.add_router(BgpRouter("prov-ann", 64701, allowas_in=True))
-    net.add_router(BgpRouter("edge-obs", 65100))
-    net.add_router(BgpRouter("edge-ann", 65101))
-    net.add_provider("edge-obs", "prov-obs")
-    net.add_provider("edge-ann", "prov-ann")
-    for rank, idx in enumerate(sorted({i % 5 for i in observer_links}), 1):
-        net.add_provider(
-            "prov-obs", f"t{TRANSITS[idx]}", customer_preference=rank
-        )
-    for rank, idx in enumerate(sorted({i % 5 for i in announcer_links}), 1):
-        net.add_provider(
-            "prov-ann", f"t{TRANSITS[idx]}", customer_preference=rank
-        )
+    for name, asn, allowas_in in routers:
+        net.add_router(BgpRouter(name, asn, allowas_in=allowas_in))
+    for kind, a, b, preference in sessions:
+        if kind == "peer":
+            net.add_peering(a, b)
+        else:
+            net.add_provider(a, b, customer_preference=preference)
     return net
+
+
+def build(observer_links, announcer_links, peer_pairs):
+    return build_from(
+        *topology_spec(observer_links, announcer_links, peer_pairs)
+    )
 
 
 topology = st.tuples(
@@ -115,3 +142,22 @@ class TestDiscoveryProperties:
             assert view.asns == path.transit_asns
         announcer.withdraw_origination(PROBE)
         net.converge()
+
+    @given(topology, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_insertion_order_leaves_discovered_paths_unchanged(self, topo, data):
+        """The discovered path set is a function of the configuration:
+        shuffling router insertion and session creation order changes
+        no ``DiscoveredPath`` (ROADMAP 5(b))."""
+        routers, sessions = topology_spec(*topo)
+        reference = PathDiscovery(build_from(routers, sessions), 64701).discover(
+            announcer="edge-ann", observer="edge-obs", probe_prefix=PROBE
+        )
+        shuffled = build_from(
+            data.draw(st.permutations(routers)),
+            data.draw(st.permutations(sessions)),
+        )
+        result = PathDiscovery(shuffled, 64701).discover(
+            announcer="edge-ann", observer="edge-obs", probe_prefix=PROBE
+        )
+        assert result.paths == reference.paths

@@ -109,7 +109,7 @@ class TestNetworkProfilerHook:
         net.profiler = prof
         net.router("a").originate("2001:db8:1::/48")
         net.converge()
-        assert prof.timers["bgp.converge.incremental"].calls == 1
+        assert prof.timers["bgp.converge"].calls == 1
 
     def test_simulator_run_is_timed_when_profiler_attached(self):
         prof = Profiler()
@@ -215,41 +215,3 @@ class TestAppendMicroBench:
             f"append no longer amortized O(1): {small_s:.4f}s for 50k vs "
             f"{big_s:.4f}s for 200k"
         )
-
-
-class TestBenchReportShape:
-    def test_workload_speedup_math(self):
-        from repro.profiling.bench import WorkloadResult
-
-        wl = WorkloadResult(name="x", baseline_s=3.0, incremental_s=1.0)
-        assert wl.speedup == 3.0
-        degenerate = WorkloadResult(name="y", baseline_s=1.0, incremental_s=0.0)
-        assert degenerate.speedup == float("inf")
-
-    def test_report_schema_fields(self):
-        from repro.profiling.bench import (
-            DISCOVERY_MIN_SPEEDUP,
-            PerfReport,
-            WorkloadResult,
-        )
-
-        report = PerfReport(
-            scenario="vultr",
-            smoke=True,
-            workloads={
-                "discovery": WorkloadResult(
-                    name="discovery", baseline_s=0.4, incremental_s=0.1
-                )
-            },
-            profile={"counters": {}, "timers": {}},
-        )
-        payload = json.loads(report.to_json())
-        assert payload["schema"] == "tango-repro/bench-perf/v1"
-        assert payload["thresholds"]["discovery_min_speedup"] == DISCOVERY_MIN_SPEEDUP
-        assert payload["workloads"]["discovery"]["speedup"] == 4.0
-
-    def test_bench_fault_plan_targets_exist_in_vultr(self):
-        from repro.lint.plans import check_fault_plan, vultr_spec
-        from repro.profiling.bench import bench_fault_plan
-
-        assert check_fault_plan(bench_fault_plan(), vultr_spec()) == []

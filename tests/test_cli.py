@@ -14,6 +14,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_profile_is_no_longer_a_command(self):
+        # The engine before/after comparison is benchmarks/, not the CLI.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["profile"])
+        assert exc.value.code == 2
+
     def test_campaign_defaults(self):
         args = build_parser().parse_args(["campaign"])
         assert args.direction == "ny"
