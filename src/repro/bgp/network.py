@@ -63,6 +63,9 @@ class BgpNetwork:
         #: Directed sessions created since the last convergence; each gets
         #: a one-off full-table sync.
         self._pending_full_sync: list[tuple[str, str]] = []
+        #: ``network_fingerprint``'s memo of the ``S|`` session lines:
+        #: ``None`` after any :meth:`connect` or :meth:`disconnect`.
+        self._session_fingerprint: Optional[bytes] = None
         self.total_rounds = 0
         self.convergence_count = 0
         #: Profiling counters (cheap ints, always on).
@@ -119,6 +122,7 @@ class BgpNetwork:
             a_preference,
             b_preference,
         )
+        self._session_fingerprint = None
         self._pending_full_sync.append((a, b))
         self._pending_full_sync.append((b, a))
 
@@ -157,6 +161,7 @@ class BgpNetwork:
         router_b.adj_rib_out.clear_neighbor(a)
         self._session_meta.pop((a, b), None)
         self._session_meta.pop((b, a), None)
+        self._session_fingerprint = None
         self._pending_full_sync = [
             s for s in self._pending_full_sync if s not in ((a, b), (b, a))
         ]

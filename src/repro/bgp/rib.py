@@ -29,92 +29,86 @@ class RibEntry:
 class AdjRibIn:
     """Routes received from each neighbor, pre-decision.
 
-    Two views of one table:
-
-    * the flat ``(neighbor, prefix) -> RibEntry`` store is authoritative
-      and is also the snapshot form, so :meth:`snapshot` and
-      :meth:`restore` stay a single shallow dict copy;
-    * a live ``prefix -> (neighbor, ...)`` index of the neighbors each
-      prefix is heard from, sorted by name.  :meth:`upsert`,
-      :meth:`remove` and :meth:`remove_neighbor` keep it in step and
-      :meth:`restore` rebuilds it; it is never part of a snapshot.  It
-      holds names only (tuples of ``str``, which the cyclic garbage
-      collector stops tracking), so every entry lives in the flat store
-      alone.
-
-    :meth:`candidates` reads the index instead of scanning the table, and
-    returns a prefix's routes in neighbor-name order.
+    One table, ``prefix -> (RibEntry, ...)``: each row holds a prefix's
+    routes, one per neighbor, sorted by neighbor name.  :meth:`candidates`
+    is the row itself, so a decision reads one dict entry.  Rows are
+    tuples of frozen entries, which makes the table its own snapshot form:
+    :meth:`snapshot` and :meth:`restore` are each a single shallow dict
+    copy.  Lookups by neighbor scan one prefix's short row, or every row
+    on a session teardown.
     """
 
     def __init__(self) -> None:
-        self._routes: dict[tuple[str, Prefix], RibEntry] = {}
-        self._neighbors_of: dict[Prefix, tuple[str, ...]] = {}
+        self._rows: dict[Prefix, tuple[RibEntry, ...]] = {}
 
     def upsert(self, entry: RibEntry) -> bool:
         """Install/replace a route.  Returns True if anything changed."""
-        key = (entry.neighbor, entry.prefix)
-        current = self._routes.get(key)
-        if current == entry:
-            return False
-        self._routes[key] = entry
-        if current is None:
-            names = self._neighbors_of.get(entry.prefix, ()) + (entry.neighbor,)
-            self._neighbors_of[entry.prefix] = tuple(sorted(names))
+        prefix, neighbor = entry.prefix, entry.neighbor
+        row = self._rows.get(prefix, ())
+        for i, current in enumerate(row):
+            if current.neighbor < neighbor:
+                continue
+            if current.neighbor != neighbor:
+                self._rows[prefix] = row[:i] + (entry,) + row[i:]
+            elif current == entry:
+                return False
+            else:
+                self._rows[prefix] = row[:i] + (entry,) + row[i + 1 :]
+            return True
+        self._rows[prefix] = row + (entry,)
         return True
 
     def remove(self, neighbor: str, prefix: Prefix) -> bool:
         """Drop the route for ``prefix`` from ``neighbor`` if present."""
-        if self._routes.pop((neighbor, prefix), None) is None:
+        row = self._rows.get(prefix, ())
+        kept = tuple(e for e in row if e.neighbor != neighbor)
+        if len(kept) == len(row):
             return False
-        self._unindex(neighbor, prefix)
+        if kept:
+            self._rows[prefix] = kept
+        else:
+            del self._rows[prefix]
         return True
 
     def remove_neighbor(self, neighbor: str) -> int:
         """Session teardown: drop every route from ``neighbor``."""
-        keys = [k for k in self._routes if k[0] == neighbor]
-        for key in keys:
-            del self._routes[key]
-            self._unindex(*key)
-        return len(keys)
-
-    def _unindex(self, neighbor: str, prefix: Prefix) -> None:
-        names = tuple(n for n in self._neighbors_of[prefix] if n != neighbor)
-        if names:
-            self._neighbors_of[prefix] = names
-        else:
-            del self._neighbors_of[prefix]
+        prefixes = self.prefixes_from(neighbor)
+        for prefix in prefixes:
+            self.remove(neighbor, prefix)
+        return len(prefixes)
 
     def get(self, neighbor: str, prefix: Prefix) -> Optional[RibEntry]:
-        return self._routes.get((neighbor, prefix))
+        for entry in self._rows.get(prefix, ()):
+            if entry.neighbor == neighbor:
+                return entry
+        return None
 
     def candidates(self, prefix: Prefix) -> list[RibEntry]:
         """All routes for ``prefix``, one per neighbor, in neighbor-name
         order."""
-        routes = self._routes
-        return [routes[(n, prefix)] for n in self._neighbors_of.get(prefix, ())]
+        return list(self._rows.get(prefix, ()))
 
     def prefixes(self) -> set[Prefix]:
-        return set(self._neighbors_of)
+        return set(self._rows)
 
     def prefixes_from(self, neighbor: str) -> set[Prefix]:
-        return {p for (n, p) in self._routes if n == neighbor}
+        return {
+            prefix
+            for prefix, row in self._rows.items()
+            if any(e.neighbor == neighbor for e in row)
+        }
 
-    def snapshot(self) -> dict[tuple[str, Prefix], RibEntry]:
-        """Copy of the flat table.  Entries are frozen, so a shallow dict
-        copy is a full copy-on-write fork of this RIB's state."""
-        return dict(self._routes)
+    def snapshot(self) -> dict[Prefix, tuple[RibEntry, ...]]:
+        """Copy of the table.  Rows are tuples of frozen entries, so a
+        shallow dict copy is a full copy-on-write fork of this RIB."""
+        return dict(self._rows)
 
-    def restore(self, state: dict[tuple[str, Prefix], RibEntry]) -> None:
-        """Replace the table with a previously captured snapshot and
-        rebuild the index from it."""
-        self._routes = dict(state)
-        grouped: dict[Prefix, list[str]] = {}
-        for neighbor, prefix in self._routes:
-            grouped.setdefault(prefix, []).append(neighbor)
-        self._neighbors_of = {p: tuple(sorted(ns)) for p, ns in grouped.items()}
+    def restore(self, state: dict[Prefix, tuple[RibEntry, ...]]) -> None:
+        """Replace the table with a previously captured snapshot."""
+        self._rows = dict(state)
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return sum(len(row) for row in self._rows.values())
 
 
 class LocRib:

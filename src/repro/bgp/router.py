@@ -84,6 +84,10 @@ class BgpRouter:
         #: already reflects the current generation.
         self._rib_epoch: dict[Prefix, int] = {}
         self._decided_epoch: dict[Prefix, int] = {}
+        #: ``network_fingerprint``'s memo of this router's ``R|``/``O|``
+        #: lines, with the knob values it was built from: ``None`` after
+        #: any change to ``originated``.
+        self._fingerprint: Optional[tuple[tuple, bytes]] = None
         #: Profiling counters (cheap ints, always on).
         self.decisions_run = 0
         self.decisions_memoized = 0
@@ -136,6 +140,7 @@ class BgpRouter:
         if self.originated.get(normalized) != attrs:
             self.originated[normalized] = attrs
             self._pending_export.add(normalized)
+            self._fingerprint = None
 
     def withdraw_origination(self, prefix: Union[str, Prefix]) -> bool:
         """Stop originating ``prefix``.  True if it was being originated."""
@@ -143,6 +148,7 @@ class BgpRouter:
         if self.originated.pop(normalized, None) is None:
             return False
         self._pending_export.add(normalized)
+        self._fingerprint = None
         return True
 
     # -- import side ------------------------------------------------------------

@@ -10,9 +10,15 @@ it unique), converged state can be cached against a canonical fingerprint
 of that configuration and restored in O(state) instead of re-propagating.
 
 Snapshots are copy-on-write in the practical sense: every RIB entry,
-announcement, and attribute bundle is a frozen dataclass, so capturing or
-restoring a snapshot copies only the per-router dicts that index them,
-never the entries themselves.
+announcement, and attribute bundle is a frozen dataclass, and each
+Adj-RIB-In row is a tuple of them, so capturing or restoring a snapshot
+is one shallow copy of each per-router dict (Adj-RIB-In, Loc-RIB,
+Adj-RIB-Out, originations, decision epochs), never of the entries.
+
+The fingerprint is memoised: each router keeps its formatted lines until
+its originations or knobs change, and the network keeps its session
+lines until a session is created or torn down, so a lookup re-formats
+only what changed.
 
 Custom import/export policies are opaque callables — they cannot be
 fingerprinted — so a network using them is never cached (the cache
@@ -23,12 +29,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .attributes import RouteAttributes
 from .messages import Announcement, Prefix, prefix_text
 from .network import BgpNetwork
 from .rib import RibEntry
+from .router import BgpRouter
 
 __all__ = [
     "NetworkSnapshot",
@@ -39,14 +47,53 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=4096)
 def _attr_token(attrs: RouteAttributes) -> str:
-    """Canonical text form of an attribute bundle for fingerprinting."""
+    """Canonical text form of an attribute bundle for fingerprinting.
+
+    Memoised per bundle: bundles are frozen, and a network originates few
+    distinct ones."""
     communities = ",".join(sorted(str(c) for c in attrs.communities))
     large = ",".join(sorted(str(c) for c in attrs.large_communities))
     return (
         f"{attrs.as_path}|{int(attrs.origin)}|{attrs.local_pref}"
         f"|{attrs.med}|{communities}|{large}"
     )
+
+
+def _router_lines(router: BgpRouter) -> bytes:
+    """The router's ``R|`` line and its ``O|`` lines, memoised on the
+    router until its originations or knobs change."""
+    knobs = (router.asn, router.allowas_in, router.strip_private_on_export)
+    memo = router._fingerprint
+    if memo is not None and memo[0] == knobs:
+        return memo[1]
+    name = router.name
+    lines = [
+        f"R|{name}|{router.asn}|{int(router.allowas_in)}"
+        f"|{int(router.strip_private_on_export)}\n"
+    ]
+    # Texts are unique per router, so one sort key orders them fully.
+    for prefix, attrs in sorted(
+        router.originated.items(), key=lambda kv: prefix_text(kv[0])
+    ):
+        lines.append(f"O|{name}|{prefix_text(prefix)}|{_attr_token(attrs)}\n")
+    blob = "".join(lines).encode()
+    router._fingerprint = (knobs, blob)
+    return blob
+
+
+def _session_lines(network: BgpNetwork) -> bytes:
+    """The network's ``S|`` lines, memoised until a session changes."""
+    blob = network._session_fingerprint
+    if blob is None:
+        lines = []
+        for a, b in sorted(network._session_meta):
+            rel, a_pref, b_pref = network._session_meta[(a, b)]
+            lines.append(f"S|{a}|{b}|{rel.name}|{a_pref}|{b_pref}\n")
+        blob = "".join(lines).encode()
+        network._session_fingerprint = blob
+    return blob
 
 
 def network_fingerprint(network: BgpNetwork) -> Optional[str]:
@@ -56,27 +103,19 @@ def network_fingerprint(network: BgpNetwork) -> Optional[str]:
     preferences), and originations (prefix plus full attributes).  Returns
     ``None`` — *uncacheable* — when any router carries custom import or
     export policies, since opaque callables cannot be hashed canonically.
+
+    The digest is SHA-256 over one text line per router, origination and
+    session; the lines are memoised per router and per network, so a call
+    re-formats only what changed since the last one.
     """
-    digest = hashlib.sha256()
+    parts = []
     for name in sorted(network.routers):
         router = network.routers[name]
         if router.import_policies or router.export_policies:
             return None
-        digest.update(
-            f"R|{name}|{router.asn}|{int(router.allowas_in)}"
-            f"|{int(router.strip_private_on_export)}\n".encode()
-        )
-        originated = sorted(
-            (prefix_text(prefix), attrs)
-            for prefix, attrs in router.originated.items()
-        )
-        # Texts are unique per router, so the attributes never compare.
-        for text, attrs in originated:
-            digest.update(f"O|{name}|{text}|{_attr_token(attrs)}\n".encode())
-    for a, b in sorted(network._session_meta):
-        rel, a_pref, b_pref = network._session_meta[(a, b)]
-        digest.update(f"S|{a}|{b}|{rel.name}|{a_pref}|{b_pref}\n".encode())
-    return digest.hexdigest()
+        parts.append(_router_lines(router))
+    parts.append(_session_lines(network))
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -85,7 +124,7 @@ class _RouterState:
     plus the decision-memoization epochs that must stay consistent with
     them."""
 
-    adj_rib_in: dict[tuple[str, Prefix], RibEntry]
+    adj_rib_in: dict[Prefix, tuple[RibEntry, ...]]
     loc_rib: dict[Prefix, RibEntry]
     adj_rib_out: dict[tuple[str, Prefix], Announcement]
     originated: dict[Prefix, RouteAttributes]
@@ -140,6 +179,7 @@ def restore_snapshot(network: BgpNetwork, snapshot: NetworkSnapshot) -> None:
         router.loc_rib.restore(state.loc_rib)
         router.adj_rib_out.restore(state.adj_rib_out)
         router.originated = dict(state.originated)
+        router._fingerprint = None
         router._rib_epoch = dict(state.rib_epoch)
         router._decided_epoch = dict(state.decided_epoch)
         router.clear_pending_exports()

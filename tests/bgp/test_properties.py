@@ -11,10 +11,17 @@ import ipaddress
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.attributes import AsPath, Community, LargeCommunity, RouteAttributes
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.bgp.router import BgpRouter
-from repro.bgp.snapshot import network_fingerprint
+from repro.bgp.snapshot import (
+    SnapshotCache,
+    capture_snapshot,
+    network_fingerprint,
+    restore_snapshot,
+)
+from tests.oracles.snapshot import full_fingerprint
 
 PREFIX = ipaddress.ip_network("2001:db8:77::/48")
 #: Both address families, in an order that is neither their text nor
@@ -259,3 +266,81 @@ class TestNamingAndOrderInvariance:
                 assert mapped.as_path.asns == tuple(
                     asn_map[a] for a in best.as_path.asns
                 )
+
+
+#: Origination bundles: plain, poisoned, and tagged with communities.
+ATTRIBUTES = (
+    RouteAttributes(),
+    RouteAttributes(as_path=AsPath.of(3356)),
+    RouteAttributes(
+        communities=frozenset({Community(10, 20), Community(2, 7)}),
+        large_communities=frozenset({LargeCommunity(20473, 6000, 10)}),
+    ),
+)
+KNOBS = ("asn", "allowas_in", "strip_private_on_export")
+
+
+class TestMemoisedFingerprint:
+    """``network_fingerprint`` memoises its lines per router and per
+    network; after any sequence of configuration changes, snapshot
+    restores and cached convergences it must equal the full rehash
+    (``tests/oracles/snapshot.py``)."""
+
+    @given(topology_strategy, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_memoised_digest_equals_full_rehash(self, topo, data):
+        routers, sessions, stubs = topology_spec(*topo)
+        net = build_network(routers, sessions)
+        names = sorted(net.routers)
+        cache = SnapshotCache(capacity=4)
+        down = []
+        snapshots = []
+        fresh_asns = iter(range(5000, 6000))
+        net.router(stubs[0]).originate(PREFIXES[0])
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            live = sorted(net._session_meta)
+            ops = ["originate", "capture", "knob"]
+            ops += ["disconnect", "reset_session"] if live else []
+            ops += ["connect"] if down else []
+            if any(r.originated for r in net.routers.values()):
+                ops.append("withdraw_origination")
+            # A snapshot's RIBs name the neighbors of its sessions, so only
+            # one captured under the current session set can be restored.
+            compatible = [s for meta, s in snapshots if meta == net._session_meta]
+            ops += ["restore"] if compatible else []
+            op = data.draw(st.sampled_from(ops))
+            if op == "originate":
+                net.router(data.draw(st.sampled_from(names))).originate(
+                    data.draw(st.sampled_from(PREFIXES)),
+                    data.draw(st.sampled_from(ATTRIBUTES)),
+                )
+            elif op == "withdraw_origination":
+                name, prefix = data.draw(st.sampled_from([
+                    (name, prefix)
+                    for name in names
+                    for prefix in PREFIXES
+                    if prefix in net.routers[name].originated
+                ]))
+                net.router(name).withdraw_origination(prefix)
+            elif op == "disconnect":
+                a, b = data.draw(st.sampled_from(live))
+                down.append(net.session_config(a, b))
+                net.disconnect(a, b)
+            elif op == "connect":
+                net.connect(*down.pop(data.draw(st.integers(0, len(down) - 1))))
+            elif op == "reset_session":
+                net.reset_session(*data.draw(st.sampled_from(live)))
+            elif op == "capture":
+                snapshots.append((dict(net._session_meta), capture_snapshot(net)))
+            elif op == "restore":
+                restore_snapshot(net, data.draw(st.sampled_from(compatible)))
+            else:
+                router = net.router(data.draw(st.sampled_from(names)))
+                knob = data.draw(st.sampled_from(KNOBS))
+                if knob == "asn":
+                    router.asn = next(fresh_asns)
+                else:
+                    setattr(router, knob, not getattr(router, knob))
+            assert network_fingerprint(net) == full_fingerprint(net), op
+            cache.converge(net)
+            assert network_fingerprint(net) == full_fingerprint(net), op

@@ -1,12 +1,17 @@
 """Oracle Adj-RIB-In: one flat table, scanned and sorted on every read.
 
-This is the original :class:`repro.bgp.rib.AdjRibIn`, before the
-per-prefix index.  ``candidates`` sorts the whole table by
-``(neighbor, prefix)`` and keeps the matching prefix, so its order is
-neighbor-name order by construction.  The prefix half of the sort key is
-its text: ``ipaddress`` refuses to order an IPv4 network against an IPv6
-one, which made the original raise ``TypeError`` once one neighbor sent
-both families.  Within one prefix the secondary key never decides.
+This is the original :class:`repro.bgp.rib.AdjRibIn`, before the table
+was grouped by prefix.  It keys every route by ``(neighbor, prefix)``,
+and ``candidates`` sorts the whole table by that pair and keeps the
+matching prefix, so its order is neighbor-name order by construction.
+The prefix half of the sort key is its text: ``ipaddress`` refuses to
+order an IPv4 network against an IPv6 one, which made the original raise
+``TypeError`` once one neighbor sent both families.  Within one prefix
+the secondary key never decides.
+
+Production keeps ``prefix -> (RibEntry, ...)`` rows sorted by neighbor
+name, and its snapshots have that form; :func:`flatten` turns one into
+this oracle's ``(neighbor, prefix)`` form so the two compare exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +20,22 @@ from typing import Optional
 
 from repro.bgp.messages import Prefix
 from repro.bgp.rib import RibEntry
+
+
+def flatten(
+    state: dict[Prefix, tuple[RibEntry, ...]],
+) -> dict[tuple[str, Prefix], RibEntry]:
+    """A production Adj-RIB-In snapshot in the flat ``(neighbor, prefix)``
+    form.  Fails unless every row is non-empty, holds only its own
+    prefix, and is sorted by neighbor name with no name twice."""
+    flat: dict[tuple[str, Prefix], RibEntry] = {}
+    for prefix, row in state.items():
+        names = [entry.neighbor for entry in row]
+        assert names and names == sorted(set(names)), (prefix, names)
+        for entry in row:
+            assert entry.prefix == prefix, (prefix, entry)
+            flat[(entry.neighbor, prefix)] = entry
+    return flat
 
 
 class FlatAdjRibIn:
