@@ -21,7 +21,7 @@ from conftest import emit
 
 from repro.analysis.report import format_kv
 from repro.dataplane.encap import encapsulate
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.scenarios.topologies import build_ecmp_fanout
 
 PROBES = 400
@@ -29,13 +29,10 @@ PROBES = 400
 
 def probe(sport, dst="2001:db8:ecf::9"):
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("2001:db8:ec0::1"),
-                dst=ipaddress.IPv6Address(dst),
-            ),
-            UdpHeader(sport=sport, dport=33434),
-        ],
+        ipaddress.IPv6Address("2001:db8:ec0::1"),
+        ipaddress.IPv6Address(dst),
+        sport=sport,
+        dport=33434,
         payload_bytes=16,
     )
 

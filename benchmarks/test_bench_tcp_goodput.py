@@ -22,7 +22,7 @@ from repro.analysis.report import format_table
 from repro.core.policy import StaticSelector
 from repro.netsim.delaymodels import InstabilityEvent
 from repro.netsim.links import WindowedLoss
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.netsim.transport import connect_tcp
 from repro.scenarios.vultr import VultrDeployment
 
@@ -58,13 +58,10 @@ def run_transfer(path_index: int, conn_id: int):
     def builder(src, dst, sport):
         def build():
             return Packet(
-                headers=[
-                    Ipv6Header(
-                        src=ipaddress.IPv6Address(src),
-                        dst=ipaddress.IPv6Address(dst),
-                    ),
-                    UdpHeader(sport=sport, dport=sport + 1),
-                ],
+                ipaddress.IPv6Address(src),
+                ipaddress.IPv6Address(dst),
+                sport=sport,
+                dport=sport + 1,
                 flow_label=conn_id,
             )
 

@@ -19,8 +19,6 @@ Run:
     python examples/secure_telemetry.py
 """
 
-from dataclasses import replace
-
 from repro.analysis.report import format_table
 from repro.core.policy import LowestDelaySelector
 from repro.scenarios.vultr import VultrDeployment
@@ -38,14 +36,10 @@ def attacker_program(switch, packet):
     fraction keeps the attack stealthier than dropping the path outright
     — which an on-path adversary could always do, and which no
     measurement scheme can prevent (only detect)."""
-    tango = packet.tango
-    if tango is not None and tango.path_id == GTT:
+    if packet.path_id == GTT:
         _attack_counter["n"] += 1
         if _attack_counter["n"] % TAMPER_EVERY == 0:
-            index = packet.headers.index(tango)
-            packet.headers[index] = replace(
-                tango, timestamp_ns=tango.timestamp_ns - ATTACK_EXTRA_NS
-            )
+            packet.timestamp_ns -= ATTACK_EXTRA_NS
     return packet
 
 

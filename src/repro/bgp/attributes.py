@@ -80,8 +80,15 @@ class AsPath:
         return asn in self.asns
 
     def strip_private(self) -> "AsPath":
-        """Remove private ASNs (what Vultr does to tenant sessions)."""
-        return AsPath(tuple(a for a in self.asns if not is_private_asn(a)))
+        """Remove private ASNs (what Vultr does to tenant sessions).
+
+        A path without private ASNs is returned as is: it is immutable,
+        so sharing it is safe.
+        """
+        kept = tuple(a for a in self.asns if not is_private_asn(a))
+        if len(kept) == self._length:
+            return self
+        return AsPath(kept)
 
     def without(self, asn: int) -> "AsPath":
         """Remove every occurrence of ``asn`` (used to present transit-only
@@ -183,6 +190,9 @@ class RouteAttributes:
         return replace(self, as_path=as_path)
 
     def with_local_pref(self, local_pref: int) -> "RouteAttributes":
+        """These attributes with LOCAL_PREF set; ``self`` when unchanged."""
+        if local_pref == self.local_pref:
+            return self
         return replace(self, local_pref=local_pref)
 
     def add_communities(

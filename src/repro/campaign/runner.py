@@ -186,6 +186,19 @@ def _build_victim(
     return deployment, controller, sent, fate, frr
 
 
+def _take_delivered(deployment: "VultrDeployment") -> int:
+    """Count the data stream's packets delivered at the peer, and drop them.
+
+    A finished variant's deployment is cyclic garbage, freed only by a full
+    collection; dropping its delivered packets frees most of it at once, so
+    a worker running plan after plan holds about one plan's packets.
+    """
+    packets = deployment.hosts[deployment.peer_of(VICTIM)].received_packets
+    count = sum(1 for p in packets if p.flow_label == 9)
+    packets.clear()
+    return count
+
+
 def _true_delay_models(deployment: "VultrDeployment") -> dict[int, object]:
     table = deployment.calibrations[VICTIM]
     return {
@@ -279,11 +292,7 @@ def _run_variant(adv: AdversarialPlan, defended: bool, config: CampaignConfig) -
     result = _regret_ms(controller, models, labels, unusable, config)
 
     peer = deployment.peer_of(VICTIM)
-    received = sum(
-        1
-        for p in deployment.hosts[peer].received_packets
-        if p.flow_label == 9
-    )
+    received = _take_delivered(deployment)
     result["availability"] = round(received / sent[0], 4) if sent[0] else None
 
     if adv.favored is not None:
@@ -406,12 +415,7 @@ def _run_correlated_variant(
     ]
     result = _regret_ms(controller, models, labels, unusable, config)
 
-    peer = deployment.peer_of(VICTIM)
-    received = sum(
-        1
-        for p in deployment.hosts[peer].received_packets
-        if p.flow_label == 9
-    )
+    received = _take_delivered(deployment)
     result["availability"] = round(received / sent[0], 4) if sent[0] else None
 
     if windows:

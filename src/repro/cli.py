@@ -613,6 +613,9 @@ def cmd_faults_campaign(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("tango-repro: --workers must be >= 1", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("tango-repro: --seed must be >= 0", file=sys.stderr)
+        return 2
     if args.correlated:
         report = run_correlated_campaign(
             args.plans, args.seed, workers=args.workers

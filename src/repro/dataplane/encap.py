@@ -5,6 +5,10 @@ outer IP header whose *destination address selects the wide-area route*
 (each Tango prefix propagates over a distinct AS path), a UDP header with
 a fixed 5-tuple (pinning ECMP), and a Tango header carrying the sender
 wall-clock timestamp, a per-tunnel sequence number, and a path id.
+
+Both operations edit the packet's fields in place: encapsulation moves the
+outer IP and UDP fields to the inner ones and writes the tunnel's;
+decapsulation moves them back.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ import ipaddress
 from typing import Optional, Union
 
 from ..netsim.packet import (
+    IPV6_HEADER_BYTES,
+    TANGO_HEADER_BYTES,
     TANGO_UDP_PORT,
-    Ipv6Header,
+    UDP_HEADER_BYTES,
     Packet,
     TangoHeader,
-    UdpHeader,
+    check_port,
 )
 
 __all__ = [
@@ -29,9 +35,7 @@ __all__ = [
 ]
 
 #: Fixed per-packet tunnel tax for IPv6 outer encapsulation (40 + 8 + 16).
-TUNNEL_OVERHEAD_BYTES = (
-    Ipv6Header.WIRE_BYTES + UdpHeader.WIRE_BYTES + TangoHeader.WIRE_BYTES
-)
+TUNNEL_OVERHEAD_BYTES = IPV6_HEADER_BYTES + UDP_HEADER_BYTES + TANGO_HEADER_BYTES
 
 
 class TunnelDecapError(ValueError):
@@ -66,48 +70,56 @@ def encapsulate(
         auth_tag: optional authenticated-telemetry MAC.
 
     Returns:
-        The same packet object with three headers pushed.
+        The same packet object, now carrying the tunnel headers.
+
+    Raises:
+        ValueError: if the packet already carries a Tango header (tunnels
+            do not nest) or a port is out of range.
     """
-    tango = TangoHeader(
-        timestamp_ns=timestamp_ns, seq=seq, path_id=path_id, auth_tag=auth_tag
-    )
-    packet.push(tango)
-    packet.push(UdpHeader(sport=sport, dport=dport))
-    packet.push(
-        Ipv6Header(
-            src=ipaddress.IPv6Address(src) if isinstance(src, str) else src,
-            dst=ipaddress.IPv6Address(dst) if isinstance(dst, str) else dst,
-        )
-    )
+    if packet.path_id is not None:
+        raise ValueError(f"packet {packet.packet_id} is already Tango-encapsulated")
+    check_port("sport", sport)
+    check_port("dport", dport)
+    packet.inner_src, packet.inner_dst = packet.src, packet.dst
+    packet.inner_ttl, packet.inner_protocol = packet.ttl, packet.protocol
+    packet.inner_sport, packet.inner_dport = packet.sport, packet.dport
+    packet.src = ipaddress.IPv6Address(src) if isinstance(src, str) else src
+    packet.dst = ipaddress.IPv6Address(dst) if isinstance(dst, str) else dst
+    packet.ttl, packet.protocol = 64, 17
+    packet.sport, packet.dport = sport, dport
+    packet.timestamp_ns, packet.seq, packet.path_id = timestamp_ns, seq, path_id
+    packet.wire_bytes += TUNNEL_OVERHEAD_BYTES
+    packet.auth_tag = auth_tag
     return packet
 
 
 def is_tango_encapsulated(packet: Packet) -> bool:
     """True when the packet's outer headers form a Tango tunnel."""
-    if len(packet.headers) < 3:
-        return False
-    outer, udp, tango = packet.headers[0], packet.headers[1], packet.headers[2]
-    return (
-        isinstance(outer, Ipv6Header)  # the prototype tunnels over IPv6
-        and isinstance(udp, UdpHeader)
-        and udp.dport == TANGO_UDP_PORT
-        and isinstance(tango, TangoHeader)
-    )
+    return packet.path_id is not None and packet.dport == TANGO_UDP_PORT
 
 
-def decapsulate(packet: Packet) -> tuple[Packet, TangoHeader, Ipv6Header]:
-    """Strip the tunnel headers, returning (inner packet, tango, outer IP).
+def decapsulate(packet: Packet) -> TangoHeader:
+    """Strip the tunnel headers in place, returning the Tango header.
 
     Raises:
         TunnelDecapError: if the packet is not Tango-encapsulated.
     """
     if not is_tango_encapsulated(packet):
         raise TunnelDecapError(
-            f"packet {packet.packet_id} is not a Tango tunnel packet: "
-            f"{[type(h).__name__ for h in packet.headers[:3]]}"
+            f"packet {packet.packet_id} is not a Tango tunnel packet"
         )
-    outer = packet.pop()
-    packet.pop()  # UDP
-    tango = packet.pop()
-    assert isinstance(tango, TangoHeader) and isinstance(outer, Ipv6Header)
-    return packet, tango, outer
+    timestamp_ns, seq, path_id = packet.timestamp_ns, packet.seq, packet.path_id
+    src, dst, ttl, protocol = (
+        packet.inner_src, packet.inner_dst, packet.inner_ttl, packet.inner_protocol
+    )
+    assert timestamp_ns is not None and seq is not None and path_id is not None
+    assert src is not None and dst is not None and ttl is not None and protocol is not None
+    tango = TangoHeader(timestamp_ns, seq, path_id, packet.auth_tag)
+    packet.auth_tag = None
+    packet.wire_bytes -= TUNNEL_OVERHEAD_BYTES
+    packet.src, packet.dst, packet.ttl, packet.protocol = src, dst, ttl, protocol
+    packet.sport, packet.dport = packet.inner_sport, packet.inner_dport
+    packet.timestamp_ns = packet.seq = packet.path_id = None
+    packet.inner_src = packet.inner_dst = packet.inner_ttl = None
+    packet.inner_protocol = packet.inner_sport = packet.inner_dport = None
+    return tango

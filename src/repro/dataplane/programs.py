@@ -146,7 +146,7 @@ class TangoReceiverProgram:
         if not is_tango_encapsulated(packet) or packet.dst not in self.local_endpoints:
             self.passed_through += 1
             return packet
-        inner, tango, _outer = decapsulate(packet)
+        tango = decapsulate(packet)
         if self.authenticator is not None and not self.authenticator.verify(
             tango.timestamp_ns, tango.seq, tango.path_id, tango.auth_tag
         ):
@@ -158,8 +158,9 @@ class TangoReceiverProgram:
         self.tracker.observe(tango.path_id, tango.seq)
         if self.on_measurement is not None:
             self.on_measurement(tango.path_id, receive_wall, one_way_delay, tango)
-        inner.meta["tango_owd_s"] = one_way_delay
-        inner.meta["tango_path_id"] = tango.path_id
-        inner.meta["tango_seq"] = tango.seq
+        meta = packet.meta
+        meta["tango_owd_s"] = one_way_delay
+        meta["tango_path_id"] = tango.path_id
+        meta["tango_seq"] = tango.seq
         self.decapsulated += 1
-        return inner
+        return packet

@@ -23,10 +23,10 @@ would otherwise decapsulate-and-terminate the packet.  Use
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..netsim.packet import Ipv6Header, Packet, UdpHeader
+from ..netsim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netsim.node import ProgrammableSwitch
@@ -88,25 +88,18 @@ class RelayForwardProgram:
     def __call__(
         self, switch: "ProgrammableSwitch", packet: Packet
     ) -> Optional[Packet]:
-        tango = packet.tango
-        if tango is None:
+        path_id = packet.path_id
+        if path_id is None:
             self.passed_through += 1
             return packet
-        binding = self._bindings.get(tango.path_id)
+        binding = self._bindings.get(path_id)
         if binding is None or packet.dst != binding.arrival_endpoint:
             self.passed_through += 1
             return packet
-        outer = packet.headers[0]
-        udp = packet.headers[1]
-        if not isinstance(outer, Ipv6Header) or not isinstance(udp, UdpHeader):
-            self.passed_through += 1
-            return packet
         if self.on_transit is not None:
-            self.on_transit(tango.path_id, switch.clock.now())
-        packet.headers[0] = replace(
-            outer, src=binding.next_src, dst=binding.next_dst
-        )
-        packet.headers[1] = replace(udp, sport=binding.next_sport)
+            self.on_transit(path_id, switch.clock.now())
+        packet.src, packet.dst = binding.next_src, binding.next_dst
+        packet.sport = binding.next_sport
         self.relayed += 1
         return packet
 

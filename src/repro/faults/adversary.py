@@ -27,11 +27,10 @@ counters) seeded from the fault plan; replays are bit-exact.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Callable, Optional
 
 from ..netsim.links import Link, PacketInterceptor
-from ..netsim.packet import Packet, TangoHeader
+from ..netsim.packet import Packet
 
 __all__ = [
     "AdversaryChain",
@@ -120,13 +119,10 @@ class TelemetryTamper(_Stage):
     ) -> Optional[Packet]:
         if not self.active(now):
             return packet
-        tango = packet.tango
-        if tango is None:
+        timestamp_ns = packet.timestamp_ns
+        if timestamp_ns is None:
             return packet
-        index = packet.headers.index(tango)
-        packet.headers[index] = replace(
-            tango, timestamp_ns=tango.timestamp_ns + self.bias_ns
-        )
+        packet.timestamp_ns = timestamp_ns + self.bias_ns
         self.tampered += 1
         return packet
 
@@ -162,7 +158,7 @@ class TelemetryReplay(_Stage):
     ) -> Optional[Packet]:
         if not self.active(now):
             return packet
-        if packet.tango is None:
+        if packet.path_id is None:
             return packet
         self._captured.append((now, packet.copy()))
         self._passed += 1
@@ -199,22 +195,19 @@ class GrayLoss(_Stage):
     def process(
         self, packet: Packet, now: float, inject: Callable[[Packet], None]
     ) -> Optional[Packet]:
-        tango = packet.tango
-        if tango is None:
+        path_id, seq = packet.path_id, packet.seq
+        if path_id is None or seq is None:
             return packet
         if self.active(now):
             self._draws += 1
             if _uniform(self.seed, self._draws) < self.rate:
-                self._hidden[tango.path_id] = (
-                    self._hidden.get(tango.path_id, 0) + 1
-                )
+                self._hidden[path_id] = self._hidden.get(path_id, 0) + 1
                 self.dropped += 1
                 return None
         # The rewrite outlives the drop window: if survivors reverted to
         # their true sequence numbers when dropping stops, the hidden gap
         # would surface as one visible burst at window end.
-        hidden = self._hidden.get(tango.path_id, 0)
+        hidden = self._hidden.get(path_id, 0)
         if hidden:
-            index = packet.headers.index(tango)
-            packet.headers[index] = replace(tango, seq=tango.seq - hidden)
+            packet.seq = seq - hidden
         return packet

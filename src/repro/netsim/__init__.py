@@ -1,7 +1,7 @@
 """Discrete-event packet-level network simulator.
 
 The substrate beneath Tango's data plane: a deterministic event loop,
-packets with real header stacks, links driven by calibrated delay/loss
+packets with fixed header fields, links driven by calibrated delay/loss
 processes, LPM routers with ECMP, and programmable border switches that
 host eBPF-style programs.
 """
@@ -35,12 +35,8 @@ from .queueing import QueuedLink
 from .packet import (
     TANGO_UDP_PORT,
     FiveTuple,
-    Header,
-    Ipv4Header,
-    Ipv6Header,
     Packet,
     TangoHeader,
-    UdpHeader,
 )
 from .simclock import NodeClock, SimClock
 from .ticks import TickHandle, TickScheduler
@@ -67,11 +63,8 @@ __all__ = [
     "FibEntry",
     "FiveTuple",
     "GaussianJitterDelay",
-    "Header",
     "HostNode",
     "InstabilityEvent",
-    "Ipv4Header",
-    "Ipv6Header",
     "Link",
     "LinkStats",
     "LossModel",
@@ -100,7 +93,6 @@ __all__ = [
     "TraceEntry",
     "TraceRecorder",
     "TANGO_UDP_PORT",
-    "UdpHeader",
     "WindowedLoss",
     "connect_tcp",
     "ecmp_hash",

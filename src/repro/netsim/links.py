@@ -12,6 +12,7 @@ the calibrated end-to-end one-way-delay of that path (see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -285,28 +286,31 @@ class Link:
             model) use the return value; fire-and-forget callers ignore it.
         """
         now = sim.now
-        self.stats.transmitted += 1
-        if packet.wire_bytes > self.mtu:
-            self.stats.dropped_mtu += 1
+        stats = self.stats
+        stats.transmitted += 1
+        size = packet.wire_bytes
+        if size > self.mtu:
+            stats.dropped_mtu += 1
             self._notify_drop(packet, "mtu")
             return False
-        if self.loss.drops(self.seed, now, self.stats.transmitted):
-            self.stats.dropped_loss += 1
+        if self.loss.drops(self.seed, now, stats.transmitted):
+            stats.dropped_loss += 1
             self._notify_drop(packet, "loss")
             return False
         if self.interceptor is not None:
             maybe = self.interceptor.process(
-                packet, now, lambda extra: self._inject(sim, extra)
+                packet, now, functools.partial(self._inject, sim)
             )
             if maybe is None:
-                self.stats.dropped_intercept += 1
+                stats.dropped_intercept += 1
                 self._notify_drop(packet, "intercept")
                 return False
             packet = maybe
+            size = packet.wire_bytes
         latency = self.delay.delay_at(now)
         if self.bandwidth_bps is not None:
-            latency += packet.wire_bytes * 8.0 / self.bandwidth_bps
-        sim.schedule_in(latency, lambda: self._deliver(packet))
+            latency += size * 8.0 / self.bandwidth_bps
+        sim.schedule_in(latency, functools.partial(self._deliver, packet))
         return True
 
     def _inject(self, sim: "Simulator", packet: Packet) -> None:
@@ -319,7 +323,7 @@ class Link:
         latency = self.delay.delay_at(sim.now)
         if self.bandwidth_bps is not None:
             latency += packet.wire_bytes * 8.0 / self.bandwidth_bps
-        sim.schedule_in(latency, lambda: self._deliver(packet))
+        sim.schedule_in(latency, functools.partial(self._deliver, packet))
 
     def _deliver(self, packet: Packet) -> None:
         self.stats.delivered += 1

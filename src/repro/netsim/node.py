@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Generic, Optional, Sequence, TypeVar, Union
 
 from .ecmp import select_index
 from .packet import IPAddress, Packet
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
+V = TypeVar("V")
 
 #: A data-plane program: called as ``program(switch, packet)``; returns the
 #: (possibly re-encapsulated) packet to keep processing, or None to consume
@@ -59,16 +60,72 @@ class FibEntry:
             raise ValueError(f"FIB entry for {self.prefix} has no egress links")
 
 
-class Fib:
-    """Longest-prefix-match forwarding table.
+class _PrefixTable(Generic[V]):
+    """Longest-prefix match over exact-match tables.
 
-    Small and explicit rather than trie-based: edge and backbone tables in
-    these experiments hold tens of routes, and an ordered scan keeps the
-    matching semantics obvious.
+    One dict per (address family, prefix length), keyed by the masked
+    network address as an int.  A match masks the address once per length
+    present and probes the tables longest first, so its cost grows with
+    the number of distinct prefix lengths, not with the number of prefixes.
     """
 
     def __init__(self) -> None:
-        self._entries: list[FibEntry] = []
+        self._tables: dict[tuple[int, int], dict[int, V]] = {}
+        #: family -> ((mask, table), ...) longest prefix first.
+        self._probes: dict[int, tuple[tuple[int, dict[int, V]], ...]] = {}
+
+    def insert(self, network: IPNetwork, value: V) -> None:
+        key = (network.version, network.prefixlen)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = {}
+            self._reindex()
+        table[int(network.network_address)] = value
+
+    def remove(self, network: IPNetwork) -> None:
+        key = (network.version, network.prefixlen)
+        table = self._tables[key]
+        del table[int(network.network_address)]
+        if not table:
+            del self._tables[key]
+            self._reindex()
+
+    def match(self, address: IPAddress) -> Optional[V]:
+        """The value of the longest prefix covering ``address``, or None."""
+        value = int(address)
+        for mask, table in self._probes.get(address.version, ()):
+            hit = table.get(value & mask)
+            if hit is not None:
+                return hit
+        return None
+
+    def _reindex(self) -> None:
+        probes: dict[int, list[tuple[int, dict[int, V]]]] = {}
+        for (version, length), table in sorted(
+            self._tables.items(), key=lambda item: item[0][1], reverse=True
+        ):
+            bits = 32 if version == 4 else 128
+            mask = (1 << bits) - (1 << (bits - length))
+            probes.setdefault(version, []).append((mask, table))
+        self._probes = {version: tuple(pairs) for version, pairs in probes.items()}
+
+
+def _network(prefix: Union[str, IPNetwork]) -> IPNetwork:
+    return ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
+
+
+class Fib:
+    """Longest-prefix-match forwarding table.
+
+    Routes live in exact-match tables, one per (address family, prefix
+    length), probed longest first; a lookup costs one dict probe per
+    distinct prefix length.
+    """
+
+    def __init__(self) -> None:
+        #: Installed entries in installation order.
+        self._entries: dict[IPNetwork, FibEntry] = {}
+        self._table: _PrefixTable[FibEntry] = _PrefixTable()
 
     def add_route(
         self, prefix: Union[str, IPNetwork], links: Union["Link", Sequence["Link"]]
@@ -77,34 +134,33 @@ class Fib:
 
         Accepts a single link or a sequence (an ECMP group).
         """
-        network = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
+        network = _network(prefix)
         from .links import Link as _Link  # local import to avoid cycle
 
         link_list = [links] if isinstance(links, _Link) else list(links)
         self.remove_route(network)
         entry = FibEntry(prefix=network, links=link_list)
-        self._entries.append(entry)
-        # Keep longest prefixes first so the first containment hit wins.
-        self._entries.sort(key=lambda e: e.prefix.prefixlen, reverse=True)
+        self._entries[network] = entry
+        self._table.insert(network, entry)
         return entry
 
     def remove_route(self, prefix: Union[str, IPNetwork]) -> bool:
         """Remove the exact route for ``prefix``; True if one existed."""
-        network = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if e.prefix != network]
-        return len(self._entries) != before
+        network = _network(prefix)
+        if self._entries.pop(network, None) is None:
+            return False
+        self._table.remove(network)
+        return True
 
     def lookup(self, address: IPAddress) -> Optional[FibEntry]:
         """Longest-prefix match, or None if no route covers ``address``."""
-        for entry in self._entries:
-            if entry.prefix.version == address.version and address in entry.prefix:
-                return entry
-        return None
+        return self._table.match(address)
 
     def routes(self) -> list[FibEntry]:
         """All installed entries, longest prefix first."""
-        return list(self._entries)
+        return sorted(
+            self._entries.values(), key=lambda e: e.prefix.prefixlen, reverse=True
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -179,18 +235,16 @@ class RouterNode(Node):
     ) -> None:
         super().__init__(name, sim, clock_offset)
         self.fib = Fib()
-        self.local_networks: list[IPNetwork] = []
+        self._local: _PrefixTable[IPNetwork] = _PrefixTable()
         self.ecmp_salt = ecmp_salt
 
     def add_local_network(self, prefix: Union[str, IPNetwork]) -> None:
         """Declare a prefix as locally terminated (host-facing)."""
-        network = ipaddress.ip_network(prefix) if isinstance(prefix, str) else prefix
-        self.local_networks.append(network)
+        network = _network(prefix)
+        self._local.insert(network, network)
 
     def is_local(self, address: IPAddress) -> bool:
-        return any(
-            n.version == address.version and address in n for n in self.local_networks
-        )
+        return self._local.match(address) is not None
 
     def receive(self, packet: Packet, ingress: Optional["Link"] = None) -> None:
         self.stats.received += 1
@@ -233,7 +287,7 @@ class ProgrammableSwitch(RouterNode):
     Mirrors the structure of the paper's eBPF deployment: an *ingress*
     program sees packets arriving from the wide area or the edge before
     routing, an *egress* program sees packets just before transmission.
-    Programs may rewrite the header stack (encap/decap) or consume packets.
+    Programs may rewrite the header fields (encap/decap) or consume packets.
 
     Program ordering is the attachment order; each program receives the
     output of the previous one.

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .links import Link
 from .node import ProgrammableSwitch
-from .packet import Packet, TangoHeader
+from .packet import Packet
 
 __all__ = ["TraceEntry", "TraceRecorder"]
 
@@ -102,7 +102,6 @@ class TraceRecorder:
     def _record(
         self, t: float, where: str, packet: Packet, note: str = ""
     ) -> None:
-        tango = packet.find(TangoHeader)
         entry = TraceEntry(
             t=t,
             where=where,
@@ -111,8 +110,8 @@ class TraceRecorder:
             dst=str(packet.dst),
             flow_label=packet.flow_label,
             wire_bytes=packet.wire_bytes,
-            tango_path_id=tango.path_id if isinstance(tango, TangoHeader) else None,
-            tango_seq=tango.seq if isinstance(tango, TangoHeader) else None,
+            tango_path_id=packet.path_id,
+            tango_seq=packet.seq,
             note=note,
         )
         self.entries.append(entry)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .events import PeriodicTask, Simulator
-from .packet import Ipv6Header, Packet, UdpHeader
+from .packet import Packet
 
 __all__ = [
     "PacketFactory",
@@ -49,12 +49,12 @@ class PacketFactory:
     flow_label: int = 0
 
     def build(self) -> Packet:
-        """A fresh packet with an IPv6+UDP header stack."""
+        """A fresh IPv6+UDP packet."""
         return Packet(
-            headers=[
-                Ipv6Header(src=_ipv6(self.src), dst=_ipv6(self.dst)),
-                UdpHeader(sport=self.sport, dport=self.dport),
-            ],
+            _ipv6(self.src),
+            _ipv6(self.dst),
+            sport=self.sport,
+            dport=self.dport,
             payload_bytes=self.payload_bytes,
             flow_label=self.flow_label,
         )

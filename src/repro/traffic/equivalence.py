@@ -32,7 +32,7 @@ import numpy as np
 from repro.netsim.delaymodels import ConstantDelay, deterministic_uniform
 from repro.netsim.events import Simulator
 from repro.netsim.node import HostNode
-from repro.netsim.packet import TANGO_UDP_PORT, Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import TANGO_UDP_PORT, Packet
 from repro.netsim.queueing import QueuedLink
 
 from .fluid import fluid_overload_loss, fluid_wait_s
@@ -105,13 +105,10 @@ def _packet_run(
 
     def send(at: float) -> None:
         packet = Packet(
-            headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address("2001:db8:1::1"),
-                    dst=ipaddress.IPv6Address("2001:db8:2::1"),
-                ),
-                UdpHeader(sport=40_000, dport=TANGO_UDP_PORT),
-            ],
+            ipaddress.IPv6Address("2001:db8:1::1"),
+            ipaddress.IPv6Address("2001:db8:2::1"),
+            sport=40_000,
+            dport=TANGO_UDP_PORT,
             payload_bytes=payload,
             created_at=at,
         )

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.netsim.packet import TANGO_UDP_PORT, Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import TANGO_UDP_PORT, Packet
 
 from .demand import DemandModel, FlowClass
 
@@ -366,10 +366,10 @@ class FluidEngine:
         """
         anchor = self.tunnels[0]
         return Packet(
-            headers=[
-                Ipv6Header(src=anchor.local_endpoint, dst=anchor.remote_endpoint),
-                UdpHeader(sport=49_152 + cls.flow_label, dport=TANGO_UDP_PORT),
-            ],
+            anchor.local_endpoint,
+            anchor.remote_endpoint,
+            sport=49_152 + cls.flow_label,
+            dport=TANGO_UDP_PORT,
             payload_bytes=max(0, self.packet_bytes - 48),
             flow_label=cls.flow_label,
         )

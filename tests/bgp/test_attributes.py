@@ -42,6 +42,14 @@ class TestAsPath:
         path = AsPath.of(2914, 64512, 20473, 65534)
         assert path.strip_private().asns == (2914, 20473)
 
+    def test_strip_private_shares_public_path(self):
+        """A path with no private ASN comes back as the same object."""
+        path = AsPath.of(2914, 20473)
+        assert path.strip_private() is path
+        assert AsPath.of().strip_private() == AsPath.of()
+        stripped = AsPath.of(64512).strip_private()
+        assert stripped.asns == () and hash(stripped) == hash(AsPath.of())
+
     def test_without_removes_all_occurrences(self):
         path = AsPath.of(20473, 2914, 20473)
         assert path.without(20473).asns == (2914,)
@@ -117,6 +125,13 @@ class TestRouteAttributes:
         updated = attrs.with_path(AsPath.of(1))
         assert attrs.as_path.length == 0
         assert updated.as_path.asns == (1,)
+
+    def test_with_local_pref_shares_unchanged(self):
+        attrs = RouteAttributes(as_path=AsPath.of(1), local_pref=200)
+        assert attrs.with_local_pref(200) is attrs
+        lowered = attrs.with_local_pref(80)
+        assert lowered.local_pref == 80 and lowered.as_path == attrs.as_path
+        assert attrs.local_pref == 200
 
     def test_add_communities_unions(self):
         attrs = RouteAttributes(large_communities=frozenset({LargeCommunity(1, 2, 3)}))

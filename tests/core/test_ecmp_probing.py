@@ -6,7 +6,7 @@ import ipaddress
 import pytest
 
 from repro.core.ecmp_probing import EcmpMapper
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.scenarios.topologies import build_ecmp_fanout
 
 
@@ -61,13 +61,10 @@ class TestPacketLevelMapping:
 
     def probe(self, sport):
         return Packet(
-            headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address("2001:db8:ec0::1"),
-                    dst=ipaddress.IPv6Address("2001:db8:ecf::9"),
-                ),
-                UdpHeader(sport=sport, dport=33434),
-            ],
+            ipaddress.IPv6Address("2001:db8:ec0::1"),
+            ipaddress.IPv6Address("2001:db8:ecf::9"),
+            sport=sport,
+            dport=33434,
             payload_bytes=16,
         )
 

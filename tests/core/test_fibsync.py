@@ -7,7 +7,7 @@ import pytest
 from repro.bgp.network import BgpNetwork
 from repro.bgp.router import BgpRouter
 from repro.core.fibsync import FibSyncError, sync_fibs
-from repro.netsim.packet import Ipv6Header, Packet
+from repro.netsim.packet import Packet
 from repro.netsim.topology import Network
 
 PREFIX = "2001:db8:50::/48"
@@ -61,12 +61,8 @@ class TestSyncFibs:
         bgp, net, nodes, links = build()
         sync_fibs(bgp, nodes, links)
         packet = Packet(
-            headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address("2001:db8:60::1"),
-                    dst=ipaddress.IPv6Address("2001:db8:50::1"),
-                )
-            ]
+            ipaddress.IPv6Address("2001:db8:60::1"),
+            ipaddress.IPv6Address("2001:db8:50::1"),
         )
         net.inject(nodes["sink"], packet)
         net.run()

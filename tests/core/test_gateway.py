@@ -9,7 +9,7 @@ from repro.core.gateway import TangoGateway
 from repro.core.policy import StaticSelector
 from repro.core.tunnels import TangoTunnel
 from repro.netsim.topology import Network
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.dataplane.encap import is_tango_encapsulated
 
 
@@ -93,13 +93,10 @@ class TestDataPath:
         wan = net.add_link("wan", switch, sink, delay_s=0.010)
         switch.fib.add_route("2001:db8:c0::/48", wan)
         packet = Packet(
-            headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address("2001:db8:20::9"),
-                    dst=ipaddress.IPv6Address("2001:db8:30::9"),
-                ),
-                UdpHeader(sport=1, dport=2),
-            ]
+            ipaddress.IPv6Address("2001:db8:20::9"),
+            ipaddress.IPv6Address("2001:db8:30::9"),
+            sport=1,
+            dport=2,
         )
         net.inject(switch, packet)
         net.run()
@@ -112,12 +109,8 @@ class TestDataPath:
         from repro.dataplane.encap import encapsulate
 
         inner = Packet(
-            headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address("2001:db8:30::9"),
-                    dst=ipaddress.IPv6Address("2001:db8:20::9"),
-                ),
-            ]
+            ipaddress.IPv6Address("2001:db8:30::9"),
+            ipaddress.IPv6Address("2001:db8:20::9"),
         )
         encapsulate(
             inner,

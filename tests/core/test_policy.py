@@ -15,7 +15,7 @@ from repro.core.policy import (
 )
 from repro.core.tunnels import TangoTunnel
 from repro.dataplane.seqnum import SequenceTracker
-from repro.netsim.packet import Ipv6Header, Packet
+from repro.netsim.packet import Packet
 from repro.telemetry.loss import LossMonitor
 from repro.telemetry.store import MeasurementStore
 
@@ -35,12 +35,8 @@ TUNNELS = [tunnel(i) for i in range(3)]
 
 def packet(flow=0):
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("2001:db8:10::1"),
-                dst=ipaddress.IPv6Address("2001:db8:20::1"),
-            )
-        ],
+        ipaddress.IPv6Address("2001:db8:10::1"),
+        ipaddress.IPv6Address("2001:db8:20::1"),
         flow_label=flow,
     )
 

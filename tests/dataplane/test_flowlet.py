@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.dataplane.flowlet import FlowletSelector
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,10 @@ TUNNELS = [FakeTunnel(path_id=i) for i in range(3)]
 
 def packet(flow=1):
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("2001:db8:10::1"),
-                dst=ipaddress.IPv6Address("2001:db8:20::1"),
-            ),
-            UdpHeader(sport=1000 + flow, dport=2000),
-        ],
+        ipaddress.IPv6Address("2001:db8:10::1"),
+        ipaddress.IPv6Address("2001:db8:20::1"),
+        sport=1000 + flow,
+        dport=2000,
         flow_label=flow,
     )
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.dataplane.encap import is_tango_encapsulated
 from repro.dataplane.programs import TangoReceiverProgram, TangoSenderProgram
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.netsim.topology import Network
 from repro.telemetry.auth import TelemetryAuthenticator
 
@@ -40,13 +40,10 @@ def lookup(dst):
 
 def data_packet(dst="2001:db8:20::9"):
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("2001:db8:10::9"),
-                dst=ipaddress.IPv6Address(dst),
-            ),
-            UdpHeader(sport=7, dport=8),
-        ],
+        ipaddress.IPv6Address("2001:db8:10::9"),
+        ipaddress.IPv6Address(dst),
+        sport=7,
+        dport=8,
         payload_bytes=32,
     )
 
@@ -85,12 +82,12 @@ class TestSenderProgram:
         sender = TangoSenderProgram(lookup, FirstTunnelSelector())
         net.sim.clock.advance_to(1.0)
         out = sender(switch, data_packet())
-        assert out.tango.timestamp_ns == pytest.approx(1.5e9)
+        assert out.timestamp_ns == pytest.approx(1.5e9)
 
     def test_sequence_numbers_increment_per_path(self):
         net, switch = make_switch()
         sender = TangoSenderProgram(lookup, FirstTunnelSelector())
-        seqs = [sender(switch, data_packet()).tango.seq for _ in range(3)]
+        seqs = [sender(switch, data_packet()).seq for _ in range(3)]
         assert seqs == [0, 1, 2]
 
     def test_on_transmit_callback(self):
@@ -107,7 +104,7 @@ class TestSenderProgram:
         auth = TelemetryAuthenticator(b"k" * 16)
         sender = TangoSenderProgram(lookup, FirstTunnelSelector(), authenticator=auth)
         out = sender(switch, data_packet())
-        assert out.tango.auth_tag is not None
+        assert out.auth_tag is not None
 
 
 class TestReceiverProgram:
@@ -185,10 +182,8 @@ class TestReceiverProgram:
             local_endpoints=[TUNNEL.remote_endpoint], authenticator=auth
         )
         packet = sender(tx, data_packet())
-        # Tamper: replace the Tango header timestamp (tag now stale).
-        from dataclasses import replace
-
-        packet.headers[2] = replace(packet.headers[2], timestamp_ns=999)
+        # Tamper: rewrite the Tango header timestamp (tag now stale).
+        packet.timestamp_ns = 999
         assert receiver(rx, packet) is None
         assert receiver.rejected_auth == 1
 

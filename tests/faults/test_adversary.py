@@ -8,16 +8,23 @@ from repro.faults.adversary import (
     TelemetryReplay,
     TelemetryTamper,
 )
-from repro.netsim.packet import Packet, TangoHeader
+from repro.dataplane.encap import encapsulate
+from repro.netsim.packet import Packet
+
+
+def plain_packet():
+    return Packet("2001:db8:10::1", "2001:db8:20::1", sport=1, dport=2)
 
 
 def tango_packet(timestamp_ns=1_000_000, seq=0, path_id=2, tag=b"\x01" * 8):
-    return Packet(
-        headers=[
-            TangoHeader(
-                timestamp_ns=timestamp_ns, seq=seq, path_id=path_id, auth_tag=tag
-            )
-        ]
+    return encapsulate(
+        plain_packet(),
+        src="2001:db8:a0::1",
+        dst="2001:db8:b0::1",
+        path_id=path_id,
+        timestamp_ns=timestamp_ns,
+        seq=seq,
+        auth_tag=tag,
     )
 
 
@@ -31,22 +38,22 @@ class TestTelemetryTamper:
         packet = tango_packet(timestamp_ns=5_000_000, tag=b"\xaa" * 8)
         out = stage.process(packet, 1.5, no_inject)
         assert out is packet
-        assert out.tango.timestamp_ns == 5_000_000 + 12_000_000
+        assert out.timestamp_ns == 5_000_000 + 12_000_000
         # The stale MAC survives verbatim: under auth this is a forgery.
-        assert out.tango.auth_tag == b"\xaa" * 8
+        assert out.auth_tag == b"\xaa" * 8
         assert stage.tampered == 1
 
     def test_inactive_outside_window(self):
         stage = TelemetryTamper(start=1.0, end=2.0, bias_s=0.012)
         before = tango_packet(timestamp_ns=7)
-        assert stage.process(before, 0.5, no_inject).tango.timestamp_ns == 7
+        assert stage.process(before, 0.5, no_inject).timestamp_ns == 7
         at_end = tango_packet(timestamp_ns=7)
-        assert stage.process(at_end, 2.0, no_inject).tango.timestamp_ns == 7
+        assert stage.process(at_end, 2.0, no_inject).timestamp_ns == 7
         assert stage.tampered == 0
 
     def test_non_tango_packet_untouched(self):
         stage = TelemetryTamper(start=0.0, end=9.0, bias_s=0.012)
-        plain = Packet(headers=[])
+        plain = plain_packet()
         assert stage.process(plain, 1.0, no_inject) is plain
 
 
@@ -67,11 +74,11 @@ class TestTelemetryReplay:
         assert stage.replayed == len(injected) > 0
         for copy in injected:
             # Byte-identical aged capture: valid tag, stale timestamp.
-            assert copy.tango.auth_tag == b"\x01" * 8
+            assert copy.auth_tag == b"\x01" * 8
         # Every injected copy was at least delay_s old when re-injected:
         # the first eligible capture is the t=0 packet, replayable only
         # once now >= 1.0 — so nothing injected before that.
-        assert injected[0].tango.timestamp_ns == 0
+        assert injected[0].timestamp_ns == 0
 
     def test_replay_is_a_distinct_packet(self):
         stage = TelemetryReplay(start=0.0, end=99.0, delay_s=0.5, every=1)
@@ -81,7 +88,7 @@ class TestTelemetryReplay:
         stage.process(tango_packet(seq=8), 1.0, injected.append)
         assert len(injected) == 1
         assert injected[0] is not original
-        assert injected[0].tango.seq == 7
+        assert injected[0].seq == 7
 
     def test_validation(self):
         with pytest.raises(ValueError, match="delay"):
@@ -112,7 +119,7 @@ class TestGrayLoss:
         assert 0.2 < stage.dropped / 500 < 0.4
         # The receiver-visible sequence is perfectly contiguous: every
         # survivor's seq was rewritten down by the hidden count so far.
-        seqs = [p.tango.seq for p in survivors]
+        seqs = [p.seq for p in survivors]
         assert seqs == list(range(len(survivors)))
 
     def test_rewrite_persists_past_window_end(self):
@@ -121,25 +128,25 @@ class TestGrayLoss:
         stage = GrayLoss(start=0.0, end=2.0, rate=1.0, seed=3)
         assert self.run_window(stage, 10, t0=1.0, dt=0.01) == []
         after = stage.process(tango_packet(seq=10), 5.0, no_inject)
-        assert after.tango.seq == 0
+        assert after.seq == 0
 
     def test_hidden_counts_are_per_path(self):
         stage = GrayLoss(start=0.0, end=99.0, rate=1.0, seed=5)
         assert stage.process(tango_packet(seq=0, path_id=1), 1.0, no_inject) is None
         stage.end = 1.5  # close the window; only rewrites remain
         other = stage.process(tango_packet(seq=4, path_id=3), 2.0, no_inject)
-        assert other.tango.seq == 4  # path 3 lost nothing
+        assert other.seq == 4  # path 3 lost nothing
         victim = stage.process(tango_packet(seq=4, path_id=1), 2.0, no_inject)
-        assert victim.tango.seq == 3
+        assert victim.seq == 3
 
     def test_deterministic_across_replays(self):
         a = GrayLoss(0.0, 99.0, rate=0.4, seed=21)
         b = GrayLoss(0.0, 99.0, rate=0.4, seed=21)
-        kept_a = [p.tango.seq for p in self.run_window(a, 200)]
-        kept_b = [p.tango.seq for p in self.run_window(b, 200)]
+        kept_a = [p.seq for p in self.run_window(a, 200)]
+        kept_b = [p.seq for p in self.run_window(b, 200)]
         assert kept_a == kept_b
         c = GrayLoss(0.0, 99.0, rate=0.4, seed=22)
-        assert [p.tango.seq for p in self.run_window(c, 200)] != kept_a
+        assert [p.seq for p in self.run_window(c, 200)] != kept_a
 
     def test_validation(self):
         with pytest.raises(ValueError, match="rate"):
@@ -162,7 +169,7 @@ class TestAdversaryChain:
         chain.add(TelemetryTamper(0.0, 9.0, bias_s=0.010))
         chain.add(GrayLoss(0.0, 9.0, rate=0.0, seed=0))
         out = chain.process(tango_packet(timestamp_ns=0), 1.0, no_inject)
-        assert out.tango.timestamp_ns == 10_000_000
+        assert out.timestamp_ns == 10_000_000
 
     def test_consuming_stage_short_circuits(self):
         chain = AdversaryChain()

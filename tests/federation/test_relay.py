@@ -9,13 +9,8 @@ from repro.dataplane.relay import (
     RelayForwardProgram,
     attach_relay_program,
 )
-from repro.netsim.packet import (
-    TANGO_UDP_PORT,
-    Ipv6Header,
-    Packet,
-    TangoHeader,
-    UdpHeader,
-)
+from repro.dataplane.encap import encapsulate
+from repro.netsim.packet import Packet
 from repro.netsim.topology import Network
 
 A_TO_R = ipaddress.IPv6Address("2001:db8:aa::1")
@@ -34,13 +29,15 @@ def binding(path_id=777):
 
 
 def stitched_packet(path_id=777, dst=R_LOCAL, timestamp_ns=123_456_789):
-    return Packet(
-        headers=[
-            Ipv6Header(src=A_TO_R, dst=dst),
-            UdpHeader(sport=40001, dport=TANGO_UDP_PORT),
-            TangoHeader(timestamp_ns=timestamp_ns, seq=9, path_id=path_id),
-        ],
-        payload_bytes=1000,
+    inner = Packet("2001:db8:10::1", "2001:db8:20::1", payload_bytes=1000)
+    return encapsulate(
+        inner,
+        src=A_TO_R,
+        dst=dst,
+        path_id=path_id,
+        timestamp_ns=timestamp_ns,
+        seq=9,
+        sport=40001,
     )
 
 
@@ -56,9 +53,9 @@ class TestHeaderSwap:
         packet = stitched_packet()
         out = program(switch, packet)
         assert out is packet
-        assert packet.headers[0].src == R_LOCAL
-        assert packet.headers[0].dst == R_TO_B
-        assert packet.headers[1].sport == 41003
+        assert packet.src == R_LOCAL
+        assert packet.dst == R_TO_B
+        assert packet.sport == 41003
         assert program.relayed == 1
 
     def test_tango_header_survives_untouched(self, switch):
@@ -69,18 +66,18 @@ class TestHeaderSwap:
         program = RelayForwardProgram()
         program.bind(binding())
         packet = stitched_packet(timestamp_ns=42)
-        before = packet.headers[2]
+        before = (packet.timestamp_ns, packet.seq, packet.path_id, packet.auth_tag)
         program(switch, packet)
-        assert packet.headers[2] is before
-        assert packet.headers[2].timestamp_ns == 42
-        assert packet.headers[2].path_id == 777
+        assert (packet.timestamp_ns, packet.seq, packet.path_id, packet.auth_tag) == before
+        assert packet.timestamp_ns == 42
+        assert packet.path_id == 777
 
     def test_unbound_path_id_passes_through(self, switch):
         program = RelayForwardProgram()
         program.bind(binding(path_id=777))
         packet = stitched_packet(path_id=555)
         program(switch, packet)
-        assert packet.headers[0].dst == R_LOCAL  # unchanged
+        assert packet.dst == R_LOCAL  # unchanged
         assert program.relayed == 0
         assert program.passed_through == 1
 
@@ -92,15 +89,13 @@ class TestHeaderSwap:
         other = ipaddress.IPv6Address("2001:db8:dd::1")
         packet = stitched_packet(dst=other)
         program(switch, packet)
-        assert packet.headers[0].dst == other
+        assert packet.dst == other
         assert program.relayed == 0
 
     def test_non_tango_packet_passes_through(self, switch):
         program = RelayForwardProgram()
         program.bind(binding())
-        packet = Packet(
-            headers=[Ipv6Header(src=A_TO_R, dst=R_LOCAL)], payload_bytes=10
-        )
+        packet = Packet(A_TO_R, R_LOCAL, payload_bytes=10)
         assert program(switch, packet) is packet
         assert program.passed_through == 1
 

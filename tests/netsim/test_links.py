@@ -8,17 +8,13 @@ from repro.netsim.delaymodels import ConstantDelay, RouteChangeEvent
 from repro.netsim.events import Simulator
 from repro.netsim.links import ConstantLoss, Link, WindowedLoss
 from repro.netsim.node import HostNode
-from repro.netsim.packet import Ipv6Header, Packet
+from repro.netsim.packet import Packet
 
 
 def make_packet(payload=100):
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("::1"),
-                dst=ipaddress.IPv6Address("::2"),
-            )
-        ],
+        ipaddress.IPv6Address("::1"),
+        ipaddress.IPv6Address("::2"),
         payload_bytes=payload,
     )
 
@@ -130,6 +126,35 @@ class TestMtu:
         dst = HostNode("dst", sim)
         link = make_link(sim, dst, mtu=140)
         assert link.transmit(sim, make_packet(payload=100))
+
+    @pytest.mark.parametrize("auth_tag", [None, b"\x07" * 8])
+    def test_encapsulated_boundary(self, auth_tag):
+        """A tunnel packet exactly at the MTU is delivered; one byte more
+        is dropped as ``mtu``, counting the tunnel headers and auth tag."""
+        from repro.dataplane.encap import TUNNEL_OVERHEAD_BYTES, encapsulate
+
+        tag_bytes = 0 if auth_tag is None else len(auth_tag)
+        fits = 1500 - 40 - TUNNEL_OVERHEAD_BYTES - tag_bytes
+        sim = Simulator()
+        dst = HostNode("dst", sim)
+        link = make_link(sim, dst, mtu=1500)
+        drops = []
+        link.on_drop(lambda p, reason: drops.append(reason))
+        for payload in (fits, fits + 1):
+            packet = encapsulate(
+                make_packet(payload=payload),
+                src="2001:db8:a0::1",
+                dst="2001:db8:b0::1",
+                path_id=1,
+                timestamp_ns=0,
+                seq=0,
+                auth_tag=auth_tag,
+            )
+            link.transmit(sim, packet)
+        sim.run()
+        assert [p.wire_bytes for p in dst.received_packets] == [1500]
+        assert drops == ["mtu"]
+        assert link.stats.dropped_mtu == 1
 
     def test_invalid_mtu_rejected(self):
         sim = Simulator()

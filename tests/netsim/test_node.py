@@ -6,7 +6,7 @@ import pytest
 
 from repro.netsim.events import Simulator
 from repro.netsim.node import Fib, HostNode
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.netsim.topology import Network
 
 
@@ -16,10 +16,10 @@ def addr(s):
 
 def make_packet(dst="2001:db8:20::5", sport=1000, dport=2000):
     return Packet(
-        headers=[
-            Ipv6Header(src=addr("2001:db8:10::5"), dst=addr(dst)),
-            UdpHeader(sport=sport, dport=dport),
-        ],
+        addr("2001:db8:10::5"),
+        addr(dst),
+        sport=sport,
+        dport=dport,
         payload_bytes=32,
     )
 
@@ -105,14 +105,12 @@ class TestRouterForwarding:
         net, r, dst = self.build()
         net.inject(r, make_packet())
         net.run()
-        assert dst.received_packets[0].outer_ip.hop_limit == 63
+        assert dst.received_packets[0].ttl == 63
 
     def test_expired_hop_limit_dropped(self):
         net, r, dst = self.build()
         packet = make_packet()
-        packet.headers[0] = Ipv6Header(
-            src=packet.outer_ip.src, dst=packet.outer_ip.dst, hop_limit=1
-        )
+        packet.ttl = 1
         net.inject(r, packet)
         net.run()
         assert r.stats.dropped_ttl == 1

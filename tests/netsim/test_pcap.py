@@ -6,19 +6,16 @@ import pytest
 
 from repro.netsim.links import ConstantLoss
 from repro.netsim.pcap import TraceRecorder
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.netsim.topology import Network
 
 
 def make_packet(flow=0, dst="2001:db8:20::1"):
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("2001:db8:10::1"),
-                dst=ipaddress.IPv6Address(dst),
-            ),
-            UdpHeader(sport=1, dport=2),
-        ],
+        ipaddress.IPv6Address("2001:db8:10::1"),
+        ipaddress.IPv6Address(dst),
+        sport=1,
+        dport=2,
         payload_bytes=32,
         flow_label=flow,
     )

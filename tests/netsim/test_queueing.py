@@ -7,19 +7,15 @@ import pytest
 from repro.netsim.delaymodels import ConstantDelay
 from repro.netsim.events import Simulator
 from repro.netsim.node import HostNode
-from repro.netsim.packet import Ipv6Header, Packet
+from repro.netsim.packet import Packet
 from repro.netsim.queueing import QueuedLink
 
 
 def make_packet(payload=960):
     """1000 wire bytes with the 40-byte IPv6 header."""
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("::1"),
-                dst=ipaddress.IPv6Address("::2"),
-            )
-        ],
+        ipaddress.IPv6Address("::1"),
+        ipaddress.IPv6Address("::2"),
         payload_bytes=payload,
     )
 

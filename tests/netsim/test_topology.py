@@ -5,18 +5,14 @@ import ipaddress
 import pytest
 
 from repro.netsim.delaymodels import ConstantDelay
-from repro.netsim.packet import Ipv6Header, Packet
+from repro.netsim.packet import Packet
 from repro.netsim.topology import Network
 
 
 def make_packet(dst="2001:db8:20::1"):
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("2001:db8:10::1"),
-                dst=ipaddress.IPv6Address(dst),
-            )
-        ]
+        ipaddress.IPv6Address("2001:db8:10::1"),
+        ipaddress.IPv6Address(dst),
     )
 
 

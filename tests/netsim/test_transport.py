@@ -4,9 +4,10 @@ import ipaddress
 
 import pytest
 
+from repro.dataplane.encap import TUNNEL_OVERHEAD_BYTES, decapsulate, encapsulate
 from repro.netsim.delaymodels import ConstantDelay
 from repro.netsim.links import ConstantLoss
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.netsim.topology import Network
 from repro.netsim.transport import TcpSender, connect_tcp
 
@@ -33,13 +34,10 @@ def build_pipe(delay_s=0.020, loss=0.0, bandwidth_bps=None):
 def make_builder(src, dst):
     def build():
         return Packet(
-            headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address(src),
-                    dst=ipaddress.IPv6Address(dst),
-                ),
-                UdpHeader(sport=5000, dport=5001),
-            ]
+            ipaddress.IPv6Address(src),
+            ipaddress.IPv6Address(dst),
+            sport=5000,
+            dport=5001,
         )
 
     return build
@@ -135,6 +133,51 @@ class TestLossRecovery:
         assert not sender.done
         assert sender.stats.timeouts >= 3
         assert sender.cwnd == pytest.approx(MSS)
+
+
+class TestTunnelMtu:
+    """Segments sized after the packet is built still count on the wire."""
+
+    def run_tunneled(self, mss):
+        net, a, b, fwd, rev = build_pipe()
+        drops = []
+        fwd.on_drop(lambda p, reason: drops.append((reason, p.wire_bytes)))
+
+        def send_tunneled(packet):
+            encapsulate(packet, "2001:db8:a0::1", "2001:db8:b0::1", 1, 0, 0)
+            fwd.transmit(net.sim, packet)
+
+        sender, receiver, data_cb, ack_cb = connect_tcp(
+            net.sim,
+            send_data=send_tunneled,
+            send_ack=lambda p: rev.transmit(net.sim, p),
+            build_data_packet=make_builder("2001:db8:1::1", "2001:db8:2::1"),
+            build_ack_packet=make_builder("2001:db8:2::1", "2001:db8:1::1"),
+            transfer_bytes=20 * mss,
+            mss=mss,
+        )
+
+        def deliver(packet, now):
+            decapsulate(packet)
+            data_cb(packet, now)
+
+        b._on_packet = deliver
+        a._on_packet = ack_cb
+        sender.start()
+        net.run(until=5.0)
+        return sender, drops
+
+    def test_full_mss_dropped_once_encapsulated(self):
+        """The tunnel-MTU trap: a 1400-byte MSS plus inner IPv6/UDP (48 B)
+        and the tunnel (64 B) is 1512 B, over the 1500 B link MTU."""
+        sender, drops = self.run_tunneled(1400)
+        assert not sender.done
+        assert drops and set(drops) == {("mtu", 1400 + 48 + TUNNEL_OVERHEAD_BYTES)}
+
+    def test_clamped_mss_fits(self):
+        sender, drops = self.run_tunneled(1500 - 48 - TUNNEL_OVERHEAD_BYTES)
+        assert sender.done
+        assert drops == []
 
 
 class TestValidation:

@@ -4,7 +4,7 @@ import ipaddress
 
 import pytest
 
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.scenarios.topologies import build_ecmp_fanout, build_mesh_scenario
 
 
@@ -56,13 +56,10 @@ class TestMeshScenario:
 class TestEcmpFanout:
     def make_probe(self, sport, dst="2001:db8:ecf::9"):
         return Packet(
-            headers=[
-                Ipv6Header(
-                    src=ipaddress.IPv6Address("2001:db8:ec0::1"),
-                    dst=ipaddress.IPv6Address(dst),
-                ),
-                UdpHeader(sport=sport, dport=33434),
-            ],
+            ipaddress.IPv6Address("2001:db8:ec0::1"),
+            ipaddress.IPv6Address(dst),
+            sport=sport,
+            dport=33434,
             payload_bytes=16,
         )
 

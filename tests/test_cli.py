@@ -162,6 +162,12 @@ class TestFaultsCampaign:
         assert main(["faults", "campaign", "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--correlated"]])
+    def test_negative_seed_is_usage_error(self, capsys, extra):
+        code = main(["faults", "campaign", "--plans", "2", "--seed", "-5", *extra])
+        assert code == 2
+        assert "tango-repro: --seed must be >= 0" in capsys.readouterr().err
+
     def test_tiny_campaign_writes_report(self, tmp_path, capsys):
         import json
 

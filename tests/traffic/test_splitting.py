@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.controller import TangoController
 from repro.netsim.events import Simulator
-from repro.netsim.packet import Ipv6Header, Packet, UdpHeader
+from repro.netsim.packet import Packet
 from repro.scenarios.vultr import VultrDeployment
 from repro.telemetry.store import MeasurementStore
 from repro.traffic.splitting import (
@@ -31,13 +31,10 @@ TUNNELS = [FakeTunnel(path_id=i) for i in range(3)]
 
 def packet(flow=1):
     return Packet(
-        headers=[
-            Ipv6Header(
-                src=ipaddress.IPv6Address("2001:db8:10::1"),
-                dst=ipaddress.IPv6Address("2001:db8:20::1"),
-            ),
-            UdpHeader(sport=1000 + flow, dport=2000),
-        ],
+        ipaddress.IPv6Address("2001:db8:10::1"),
+        ipaddress.IPv6Address("2001:db8:20::1"),
+        sport=1000 + flow,
+        dport=2000,
         flow_label=flow,
     )
 
